@@ -50,15 +50,21 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
         raise InputError(f"{path}: malformed model bank: {exc}") from exc
 
 
+def _gait_config(args) -> gait_model.GaitModelConfig:
+    schedule = gait_model.PhaseSchedule.preset(args.schedule)
+    try:
+        return gait_model.GaitModelConfig(tc=args.tc, schedule=schedule)
+    except ValueError as exc:
+        raise InputError(f"--tc: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Verbs
 # ---------------------------------------------------------------------------
 
 def cmd_gen_gait(args) -> int:
     bank = _load_bank(args.model_bank)
-    config = gait_model.GaitModelConfig(
-        tc=args.tc, schedule=gait_model.PhaseSchedule.preset(args.schedule)
-    )
+    config = _gait_config(args)
     traj = gait_model.generate_gait_cycle(bank, config, cross_fade=args.cross_fade)
     traj.write_tsv(args.out)
     report = {
@@ -291,12 +297,10 @@ def cmd_push(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    config = _gait_config(args)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     bank = _load_bank(args.model_bank)
-    config = gait_model.GaitModelConfig(
-        tc=args.tc, schedule=gait_model.PhaseSchedule.preset(args.schedule)
-    )
     traj = gait_model.generate_gait_cycle(bank, config)
 
     # phase portraits, one file per joint

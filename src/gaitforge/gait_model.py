@@ -31,6 +31,10 @@ PERCENT_FRACTIONS = (0.10, 0.30, 0.50, 0.60, 0.73, 0.87, 1.00)
 
 DEFAULT_TC = 0.0167
 
+# Most grid points one cycle may be sampled on, reached at tc just above
+# 8e-7 on the default schedule: seven 16 MB float64 columns per trajectory.
+MAX_SAMPLES = 2_000_000
+
 
 class GaitPhase(IntEnum):
     """The seven gait sub-phases, in cyclic order."""
@@ -138,22 +142,30 @@ class PhaseSchedule:
         raise ValueError(f"unknown schedule preset {name!r}")
 
 
-def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
-    """Map a cycle coordinate to its gait phase.
+def phases_of(xs, schedule: PhaseSchedule | None = None) -> np.ndarray:
+    """Map cycle coordinates to gait-phase ordinals, one per coordinate.
 
     Guards are strict, so a coordinate sitting exactly on a boundary belongs
     to the earlier phase; x = 0 is LR. Coordinates past the cycle end wrap
-    around (the stride repeats).
+    around (the stride repeats). A negative or non-finite coordinate raises
+    ValueError.
     """
     schedule = schedule or PhaseSchedule.guard()
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"cycle coordinate must be finite and >= 0, got {x}")
-    if x > schedule.x_max:
-        x = math.fmod(x, schedule.x_max)
-    for phase in GaitPhase:
-        if x <= schedule.boundaries[int(phase)]:
-            return phase
-    return GaitPhase.TSW  # unreachable: x <= x_max held above
+    x = np.asarray(xs, dtype=float)
+    # searchsorted would place NaN past the last boundary, so check first
+    bad = ~np.isfinite(x) | (x < 0.0)
+    if bad.any():
+        raise ValueError(
+            f"cycle coordinate must be finite and >= 0, got {x[bad].flat[0]}"
+        )
+    x_max = schedule.x_max
+    x = np.where(x > x_max, np.fmod(x, x_max), x)
+    return np.searchsorted(schedule.boundaries, x, side="left")
+
+
+def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
+    """Scalar form of :func:`phases_of`."""
+    return GaitPhase(int(phases_of([x], schedule)[0]))
 
 
 @dataclass(frozen=True)
@@ -230,8 +242,19 @@ class GaitModelConfig:
         for name in ("l1", "l2", "l3", "m1", "m2", "m3"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.tc <= 0.0:
-            raise ValueError("tc must be strictly positive")
+        if not (math.isfinite(self.tc) and self.tc > 0.0):
+            raise ValueError(f"tc must be finite and strictly positive, got {self.tc}")
+        # n_samples > MAX_SAMPLES exactly when x_max / tc >= MAX_SAMPLES; the
+        # ratio may be inf, which floor() cannot take
+        if self.schedule.x_max / self.tc >= MAX_SAMPLES:
+            raise ValueError(
+                f"tc {self.tc} needs more than {MAX_SAMPLES} samples per cycle"
+            )
+
+    @property
+    def n_samples(self) -> int:
+        """Grid points in one cycle: 0, tc, 2 tc, ... up to x_max."""
+        return int(math.floor(self.schedule.x_max / self.tc)) + 1
 
 
 class FieldBank:
@@ -330,12 +353,11 @@ class JointTrajectorySet:
     def write_tsv(self, path) -> None:
         """Tab-separated trajectory: time then the six joint columns, six
         decimal places."""
+        row = "\t".join(["%.6f"] * (1 + len(JOINT_KEYS))) + "\n"
+        table = np.column_stack([self.x] + [self.angles[k] for k in JOINT_KEYS])
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("time\t" + "\t".join(JOINT_KEYS) + "\n")
-            for i, xi in enumerate(self.x):
-                row = [f"{xi:.6f}"]
-                row += [f"{self.angles[k][i]:.6f}" for k in JOINT_KEYS]
-                fh.write("\t".join(row) + "\n")
+            fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def generate_gait_cycle(
@@ -355,15 +377,18 @@ def generate_gait_cycle(
     bank.require_complete()
     schedule = config.schedule
     tc = config.tc
-    n = int(math.floor(schedule.x_max / tc)) + 1
+    n = config.n_samples
     grid = np.arange(n) * tc
-    phases = np.array([int(phase_of(float(xi), schedule)) for xi in grid])
+    phases = phases_of(grid, schedule)
+    masks = [phases == int(phase) for phase in GaitPhase]
 
+    # one Horner pass per (joint, phase) over that phase's grid points; each
+    # element sees the same float64 operations as a scalar evaluation
     angles: dict[str, np.ndarray] = {}
     for jkey in JOINT_KEYS:
         vals = np.empty(n)
-        for i, xi in enumerate(grid):
-            vals[i] = eval_vector_field(bank.get(jkey, GaitPhase(phases[i])), xi)
+        for phase, mask in zip(GaitPhase, masks):
+            vals[mask] = eval_vector_field(bank.get(jkey, phase), grid[mask])
         angles[jkey] = vals
 
     report = []
@@ -383,12 +408,13 @@ def generate_gait_cycle(
 
     if cross_fade:
         half = 2 * tc
-        for b in schedule.boundaries[:-1]:
+        interior = schedule.boundaries[:-1]
+        for b, ordinal in zip(interior, phases_of(interior, schedule)):
             lo, hi = b - half, b + half
             idx = np.nonzero((grid >= lo) & (grid <= hi))[0]
             if len(idx) == 0:
                 continue
-            before = phase_of(b, schedule)
+            before = GaitPhase(int(ordinal))
             after = before.successor
             for jkey in JOINT_KEYS:
                 fa = eval_vector_field(bank.get(jkey, before), grid[idx])
@@ -466,27 +492,74 @@ class RangeViolation:
     hi: float
 
 
-@dataclass
+@dataclass(eq=False)  # field-wise == is ambiguous on arrays
 class ValidationReport:
-    violations: list[RangeViolation]
+    """Range-check result: the failing samples as parallel arrays in (joint,
+    sample index) order. `joint` holds positions in JOINT_KEYS, `phase`
+    GaitPhase ordinals, `lo`/`hi` the interval each sample missed."""
+
     checked: int
+    joint: np.ndarray
+    index: np.ndarray
+    x: np.ndarray
+    phase: np.ndarray
+    angle: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @property
+    def failed(self) -> int:
+        return len(self.index)
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.failed == 0
+
+    @property
+    def violations(self) -> "Violations":
+        """The failing samples as RangeViolation items, in (joint, index) order."""
+        return Violations(self)
 
     def summary(self) -> str:
         if self.ok:
             return f"all {self.checked} checked samples within tabulated ranges"
-        worst = max(
-            self.violations,
-            key=lambda v: max(v.lo - v.angle, v.angle - v.hi),
-        )
+        # argmax keeps the first of equal excesses in (joint, index) order
+        w = int(np.argmax(np.maximum(self.lo - self.angle, self.angle - self.hi)))
+        joint, phase = JOINT_KEYS[self.joint[w]], GaitPhase(self.phase[w])
         return (
-            f"{len(self.violations)} of {self.checked} checked samples out of "
-            f"range (worst: {worst.joint} {worst.phase.name} x={worst.x:.4f} "
-            f"angle={worst.angle:.3f} not in [{worst.lo:.4f}, {worst.hi:.4f}])"
+            f"{self.failed} of {self.checked} checked samples out of "
+            f"range (worst: {joint} {phase.name} x={self.x[w]:.4f} "
+            f"angle={self.angle[w]:.3f} not in [{self.lo[w]:.4f}, {self.hi[w]:.4f}])"
         )
+
+
+class Violations(Sequence):
+    """Read-only sequence over a report's failing samples. Each RangeViolation
+    is built when it is read, so len() and indexing cost O(1); equal to any
+    sequence holding the same violations in the same order."""
+
+    def __init__(self, report: ValidationReport):
+        self._columns = (report.joint, report.index, report.x, report.phase,
+                         report.angle, report.lo, report.hi)
+
+    def __len__(self) -> int:
+        return len(self._columns[1])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return self._item(*(c[i].item() for c in self._columns))
+
+    def __iter__(self):
+        for row in zip(*(c.tolist() for c in self._columns)):
+            yield self._item(*row)
+
+    @staticmethod
+    def _item(j, index, x, phase, angle, lo, hi) -> RangeViolation:
+        return RangeViolation(GaitPhase(phase), JOINT_KEYS[j], index, x, angle, lo, hi)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def validate_ranges(
@@ -499,22 +572,24 @@ def validate_ranges(
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     ranges = ranges or RangeTable.default()
-    violations = []
+    phases = np.asarray(traj.phases)
     checked = 0
-    for jkey in JOINT_KEYS:
-        vals = traj.angles[jkey]
-        for i, xi in enumerate(traj.x):
-            phase = GaitPhase(int(traj.phases[i]))
-            interval = ranges.interval(phase, jkey)
-            if interval is None:
-                continue
-            checked += 1
-            lo, hi = interval
-            if not (lo <= vals[i] <= hi):
-                violations.append(
-                    RangeViolation(phase, jkey, i, float(xi), float(vals[i]), lo, hi)
-                )
-    return ValidationReport(violations=violations, checked=checked)
+    parts = []
+    for j, jkey in enumerate(JOINT_KEYS):
+        intervals = [ranges.interval(phase, jkey) for phase in GaitPhase]
+        tabulated = np.array([iv is not None for iv in intervals])[phases]
+        lo = np.array([iv[0] if iv else np.nan for iv in intervals])[phases]
+        hi = np.array([iv[1] if iv else np.nan for iv in intervals])[phases]
+        vals = np.asarray(traj.angles[jkey], dtype=float)
+        checked += int(np.count_nonzero(tabulated))
+        idx = np.flatnonzero(tabulated & ~((lo <= vals) & (vals <= hi)))
+        parts.append((np.full(len(idx), j), idx, vals[idx], lo[idx], hi[idx]))
+    joint, index, angle, lo, hi = (np.concatenate(c) for c in zip(*parts))
+    return ValidationReport(
+        checked=checked, joint=joint, index=index,
+        x=np.asarray(traj.x, dtype=float)[index], phase=phases[index],
+        angle=angle, lo=lo, hi=hi,
+    )
 
 
 # ---------------------------------------------------------------------------

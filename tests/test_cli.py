@@ -58,6 +58,21 @@ def test_gen_gait_missing_bank_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["gen-gait", "plot-data"])
+@pytest.mark.parametrize("tc", ["-1", "0", "nan", "inf", "1e-9"])
+def test_bad_tc_exits_2_before_sampling(verb, tc, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a grid was about to be sampled")
+
+    monkeypatch.setattr(gm, "generate_gait_cycle", never)
+    out = tmp_path / "out"
+    target = ["--out", str(out)] if verb == "gen-gait" else ["--out-dir", str(out)]
+    assert run([verb, f"--tc={tc}"] + target) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tc") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # other verbs
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitforge import gait_model as gm
@@ -11,6 +11,7 @@ from gaitforge.gait_model import (
     CYCLE_LENGTH,
     FieldBank,
     GaitModelConfig,
+    MAX_SAMPLES,
     GaitPhase,
     MissingFieldError,
     PhaseSchedule,
@@ -23,6 +24,7 @@ from gaitforge.gait_model import (
     limit_cycle,
     overfit_band,
     phase_of,
+    phases_of,
     validate_ranges,
 )
 
@@ -67,6 +69,20 @@ def test_phase_of_domain_errors():
         phase_of(float("nan"))
     with pytest.raises(ValueError):
         phase_of(float("inf"))
+
+
+def test_phases_of_wraps_like_the_scalar_lookup():
+    got = phases_of([0.0, 0.5, 1.6, 1.7, 3.2])
+    assert got.tolist() == [0, 0, 6, 0, 0]  # 1.7 wraps to 0.1, 3.2 to 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1])
+def test_phases_of_rejects_non_finite_and_negative(bad):
+    # searchsorted alone would put NaN past the last boundary
+    with pytest.raises(ValueError):
+        phases_of(np.array([0.3, bad, 0.7]))
+    with pytest.raises(ValueError):
+        phases_of([bad])
 
 
 @given(st.floats(min_value=0.0, max_value=1.6), st.floats(min_value=0.0, max_value=1.6))
@@ -215,6 +231,25 @@ def test_cross_fade_blends_near_boundaries():
     )
 
 
+@pytest.mark.parametrize("tc", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_config_rejects_bad_tc(tc):
+    with pytest.raises(ValueError):
+        GaitModelConfig(tc=tc)
+
+
+def test_config_sample_limit():
+    # only configs are built here, so no grid is ever allocated
+    x_max = PhaseSchedule.guard().x_max
+    assert GaitModelConfig(tc=x_max / (MAX_SAMPLES - 2)).n_samples <= MAX_SAMPLES
+    for tc in (x_max / (MAX_SAMPLES + 1), 1e-9, 5e-324):
+        with pytest.raises(ValueError, match="samples per cycle"):
+            GaitModelConfig(tc=tc)
+
+
+def test_n_samples_counts_both_grid_ends():
+    assert GaitModelConfig(tc=0.4).n_samples == 5
+
+
 def test_bank_json_roundtrip(tmp_path):
     bank = FieldBank.default()
     path = tmp_path / "bank.json"
@@ -272,6 +307,124 @@ def test_empty_trajectory_rejected():
     traj.x = traj.x[:0]
     with pytest.raises(ValueError):
         validate_ranges(traj)
+
+
+# ---------------------------------------------------------------------------
+# array paths against per-sample scalar loops
+# ---------------------------------------------------------------------------
+
+def reference_phase(x, schedule):
+    """Per-point guard walk: the first phase whose end is >= x."""
+    for phase in GaitPhase:
+        if x <= schedule.boundaries[int(phase)]:
+            return phase
+    raise AssertionError("x past the cycle end")
+
+
+def reference_cycle(bank, config, cross_fade):
+    """Grid, phases and angles from one scalar evaluation per sample."""
+    schedule, tc = config.schedule, config.tc
+    grid = np.arange(int(math.floor(schedule.x_max / tc)) + 1) * tc
+    phases = [reference_phase(float(x), schedule) for x in grid]
+    angles = {
+        jkey: np.array([
+            eval_vector_field(bank.get(jkey, phase), float(x))
+            for x, phase in zip(grid, phases)
+        ])
+        for jkey in gm.JOINT_KEYS
+    }
+    if cross_fade:
+        half = 2 * tc
+        for b in schedule.boundaries[:-1]:
+            lo, hi = b - half, b + half
+            before = reference_phase(b, schedule)
+            for i, x in enumerate(grid):
+                if not lo <= x <= hi:
+                    continue
+                w = (x - lo) / (2.0 * half)
+                for jkey in gm.JOINT_KEYS:
+                    fa = eval_vector_field(bank.get(jkey, before), x)
+                    fb = eval_vector_field(bank.get(jkey, before.successor), x)
+                    angles[jkey][i] = (1.0 - w) * fa + w * fb
+    return grid, phases, angles
+
+
+def reference_validation(traj, ranges):
+    """Violations, checked count and summary from one test per sample."""
+    violations, checked = [], 0
+    for jkey in gm.JOINT_KEYS:
+        vals = traj.angles[jkey]
+        for i, xi in enumerate(traj.x):
+            phase = GaitPhase(int(traj.phases[i]))
+            interval = ranges.interval(phase, jkey)
+            if interval is None:
+                continue
+            checked += 1
+            lo, hi = interval
+            if not (lo <= vals[i] <= hi):
+                violations.append(gm.RangeViolation(
+                    phase, jkey, i, float(xi), float(vals[i]), lo, hi))
+    if not violations:
+        return violations, checked, (
+            f"all {checked} checked samples within tabulated ranges")
+    worst = max(violations, key=lambda v: max(v.lo - v.angle, v.angle - v.hi))
+    return violations, checked, (
+        f"{len(violations)} of {checked} checked samples out of "
+        f"range (worst: {worst.joint} {worst.phase.name} x={worst.x:.4f} "
+        f"angle={worst.angle:.3f} not in [{worst.lo:.4f}, {worst.hi:.4f}])"
+    )
+
+
+# tc = 1e-4 puts five grid points exactly on a guard boundary and three on a
+# percent boundary; the constant bank makes every excess within a phase tie.
+@settings(max_examples=8, deadline=None)
+@given(
+    tc=st.floats(min_value=1e-4, max_value=0.05),
+    schedule=st.sampled_from(["guard", "percent"]),
+    cross_fade=st.booleans(),
+    constant=st.booleans(),
+)
+@example(tc=1e-4, schedule="guard", cross_fade=False, constant=False)
+@example(tc=1e-4, schedule="percent", cross_fade=True, constant=False)
+@example(tc=0.0167, schedule="guard", cross_fade=False, constant=True)
+def test_array_paths_match_scalar_reference(tc, schedule, cross_fade, constant):
+    bank = constant_bank(1000.0) if constant else FieldBank.default()
+    config = GaitModelConfig(tc=tc, schedule=PhaseSchedule.preset(schedule))
+    traj = generate_gait_cycle(bank, config, cross_fade=cross_fade)
+    grid, phases, angles = reference_cycle(bank, config, cross_fade)
+
+    assert np.array_equal(traj.x, grid)
+    assert traj.phases.tolist() == [int(p) for p in phases]
+    assert [phase_of(float(x), config.schedule) for x in grid] == phases
+    for jkey in gm.JOINT_KEYS:
+        # bitwise: same float64 operations in the same order
+        assert traj.angles[jkey].tobytes() == angles[jkey].tobytes()
+
+    ranges = RangeTable.default()
+    report = validate_ranges(traj, ranges)
+    violations, checked, summary = reference_validation(traj, ranges)
+    assert report.violations == violations
+    assert len(report.violations) == len(violations)
+    assert report.violations[-3:] == violations[-3:]
+    assert report.checked == checked
+    assert report.failed == len(violations)
+    assert report.ok == (not violations)
+    assert report.summary() == summary
+
+
+def test_write_tsv_bytes_match_per_value_formatting(tmp_path):
+    traj = generate_gait_cycle(FieldBank.default(), GaitModelConfig(tc=1e-4))
+    assert len(traj) == 16001
+    expected = tmp_path / "expected.tsv"
+    with open(expected, "w", encoding="utf-8") as fh:
+        fh.write("time\t" + "\t".join(gm.JOINT_KEYS) + "\n")
+        for i, xi in enumerate(traj.x):
+            row = [f"{xi:.6f}"]
+            row += [f"{traj.angles[k][i]:.6f}" for k in gm.JOINT_KEYS]
+            fh.write("\t".join(row) + "\n")
+    got = tmp_path / "got.tsv"
+    traj.write_tsv(got)
+    assert got.read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------
