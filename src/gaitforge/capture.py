@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,10 @@ def smooth_moving_average(series: TimeSeries, rms_tol: float = 1e-4) -> TimeSeri
 def smooth_cubic_spline(series: TimeSeries, knot_stride: int = 5) -> TimeSeries:
     """Natural cubic spline through every ``knot_stride``-th sample,
     evaluated on the original grid."""
+    # scipy is imported here, not at the top: it takes most of a second to
+    # import and only the spline smoother needs it
+    from scipy.interpolate import CubicSpline
+
     if knot_stride < 1:
         raise ValueError("knot stride must be >= 1")
     n = len(series)

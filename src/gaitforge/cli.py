@@ -2,8 +2,12 @@
 
 One verb per capability; every verb is deterministic given its inputs and
 seed, so re-runs are byte-identical. Numeric output uses six decimal
-places. Missing or malformed input files exit with status 2 and a
-line-numbered message where one applies.
+places. Bad input (a missing or malformed file, an out-of-range argument)
+exits with status 2 and a one-line ``error:`` message, line-numbered where
+one applies.
+
+Each verb imports the library modules, numpy and scipy it runs and no
+others, so a cheap verb does not pay the start-up cost of an expensive one.
 """
 
 from __future__ import annotations
@@ -12,15 +16,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import capture, features, gait_ca, gait_model, learn, push_fuzzy, rocking_block
+from . import push_fuzzy
 from .fixtures import fixture_path
+
+if TYPE_CHECKING:
+    from . import gait_model, learn
 
 
 class InputError(Exception):
-    """Bad or missing input: reported on stderr, exit code 2."""
+    """Bad or missing input: reported on stderr, exit code 2.
+
+    :func:`main` treats a ``ValueError`` from the library the same way; raise
+    this one to add context, such as the option or file at fault.
+    """
 
 
 def _round6(obj):
@@ -40,6 +50,8 @@ def _write_json(path, doc) -> None:
 
 
 def _load_bank(path: str | None) -> gait_model.FieldBank:
+    from . import gait_model
+
     if path is None:
         return gait_model.FieldBank.default()
     if not Path(path).exists():
@@ -51,9 +63,12 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
 
 
 def _gait_config(args) -> gait_model.GaitModelConfig:
+    from . import gait_model
+
     schedule = gait_model.PhaseSchedule.preset(args.schedule)
+    tc = gait_model.DEFAULT_TC if args.tc is None else args.tc
     try:
-        return gait_model.GaitModelConfig(tc=args.tc, schedule=schedule)
+        return gait_model.GaitModelConfig(tc=tc, schedule=schedule)
     except ValueError as exc:
         raise InputError(f"--tc: {exc}") from exc
 
@@ -63,6 +78,8 @@ def _gait_config(args) -> gait_model.GaitModelConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_gait(args) -> int:
+    from . import gait_model
+
     bank = _load_bank(args.model_bank)
     config = _gait_config(args)
     traj = gait_model.generate_gait_cycle(bank, config, cross_fade=args.cross_fade)
@@ -86,13 +103,18 @@ def cmd_gen_gait(args) -> int:
 
 
 def cmd_simulate_block(args) -> int:
+    from . import rocking_block
+
     params = rocking_block.BlockParams(
         alpha=args.alpha, r=args.r, dt=args.dt, restoring_sign=args.restoring,
     )
     init = rocking_block.BlockState(
         mode=rocking_block.Mode(args.mode), x1=args.x1, x2=args.x2,
     )
-    trace = rocking_block.simulate(init, params, args.t_end)
+    try:
+        trace = rocking_block.simulate(init, params, args.t_end)
+    except (rocking_block.DivergenceError, rocking_block.ZenoError) as exc:
+        raise InputError(f"simulation failed: {exc}") from exc
     trace.write_csv(args.out)
     print(f"{len(trace.states)} states, {len(trace.impacts)} impacts, "
           f"status {trace.status}; wrote {args.out}")
@@ -100,10 +122,9 @@ def cmd_simulate_block(args) -> int:
 
 
 def cmd_ca_predict(args) -> int:
-    try:
-        init = gait_ca.CAState.from_bits(args.init)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    from . import gait_ca
+
+    init = gait_ca.CAState.from_bits(args.init)
     seq = gait_ca.predict_sequence(init, args.n)
     line = " ".join(s.bits for s in seq)
     print(line)
@@ -114,12 +135,14 @@ def cmd_ca_predict(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    import numpy as np
+
+    from . import capture
+
     try:
         series = capture.load_accelerometer_csv(args.infile)
     except FileNotFoundError:
         raise InputError(f"input not found: {args.infile}") from None
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     xs, ys = series["x"], series["y"]
     if args.zero_correct:
         xs, ys = capture.zero_correct(xs), capture.zero_correct(ys)
@@ -155,12 +178,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_features(args) -> int:
+    from . import capture, features
+
     try:
         t, th1, th2 = capture.load_joint_angle_csv(args.infile)
     except FileNotFoundError:
         raise InputError(f"input not found: {args.infile}") from None
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     rows = []
     for joint, series in (("theta1", th1), ("theta2", th2)):
         try:
@@ -176,6 +199,8 @@ def cmd_features(args) -> int:
 
 
 def _metrics_report(cm, per_class, error, class_names) -> dict:
+    from . import learn
+
     bio = learn.biometric_metrics(cm)
     return {
         "class_names": list(class_names),
@@ -190,12 +215,11 @@ def _metrics_report(cm, per_class, error, class_names) -> dict:
 
 
 def _load_dataset(path) -> learn.Dataset:
+    from . import learn
+
     if not Path(path).exists():
         raise InputError(f"dataset not found: {path}")
-    try:
-        return learn.Dataset.from_csv(path)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return learn.Dataset.from_csv(path)
 
 
 def _parse_layers(text: str | None):
@@ -208,6 +232,8 @@ def _parse_layers(text: str | None):
 
 
 def _make_trainer(args):
+    from . import learn
+
     if args.method == "knn":
         return learn.knn_trainer(args.k)
     return learn.mlp_trainer(
@@ -216,6 +242,10 @@ def _make_trainer(args):
 
 
 def cmd_classify(args) -> int:
+    import numpy as np
+
+    from . import learn
+
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
     if train.class_names != test.class_names:
@@ -238,13 +268,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    from . import learn
+
     data = _load_dataset(args.data) if args.data else learn.Dataset.from_csv(
         fixture_path("synthetic_gait_features.csv")
     )
-    try:
-        result = learn.kfold_cv(data, _make_trainer(args), folds=args.folds, seed=args.seed)
-    except learn.StratificationError as exc:
-        raise InputError(str(exc)) from exc
+    result = learn.kfold_cv(data, _make_trainer(args), folds=args.folds, seed=args.seed)
     report = {
         "folds": args.folds,
         "method": args.method,
@@ -297,7 +326,18 @@ def cmd_push(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
+    import numpy as np
+
+    from . import capture, features, gait_model
+
     config = _gait_config(args)
+    # limit_cycle needs 3 samples and emd_decompose 4: fail before the
+    # directory is made, not halfway through filling it
+    if config.n_samples < 4:
+        raise InputError(
+            f"--tc: tc {config.tc} gives {config.n_samples} samples per cycle, "
+            "plot-data needs at least 4"
+        )
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     bank = _load_bank(args.model_bank)
@@ -353,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-gait", help="generate a full six-joint gait cycle")
     p.add_argument("--model-bank", help="bank JSON (default: bundled tables)")
     p.add_argument("--schedule", choices=("guard", "percent"), default="guard")
-    p.add_argument("--tc", type=float, default=gait_model.DEFAULT_TC)
+    p.add_argument("--tc", type=float,
+                   help="grid step (default: gait_model.DEFAULT_TC)")
     p.add_argument("--cross-fade", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_gait)
@@ -436,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model-bank")
     p.add_argument("--schedule", choices=("guard", "percent"), default="guard")
-    p.add_argument("--tc", type=float, default=gait_model.DEFAULT_TC)
+    p.add_argument("--tc", type=float,
+                   help="grid step (default: gait_model.DEFAULT_TC)")
     p.add_argument("--frame-stride", type=int, default=8)
     p.set_defaults(func=cmd_plot_data)
 
@@ -447,10 +489,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError, ValueError) as exc:
+        # ValueError covers the library's argument checks and its subclasses
+        # (RecoveryImpossible, StratificationError, UnreachableError, ...)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

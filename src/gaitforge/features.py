@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .capture import TimeSeries
 
@@ -57,6 +56,8 @@ def count_zero_crossings(x: np.ndarray) -> int:
 def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through the extrema, with up to two extrema
     mirrored across each end so the envelope does not sag at the borders."""
+    from scipy.interpolate import CubicSpline  # slow to import; see capture
+
     t = idx.astype(float)
     v = vals
     k = min(2, len(idx))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 
 @dataclass
@@ -512,6 +511,8 @@ def _anova_from_moments(ns, means, variances) -> AnovaResult:
         else:
             f, p = math.inf, 0.0
     else:
+        from scipy import special  # slow to import; only the p-value needs it
+
         f = ms_between / ms_within
         p = float(special.fdtrc(df_between, df_within, f))
     return AnovaResult(ss_between, ss_within, df_between, df_within,

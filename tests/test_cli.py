@@ -73,6 +73,48 @@ def test_bad_tc_exits_2_before_sampling(verb, tc, tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tc", ["1", "0.8"])
+def test_plot_data_too_few_samples_exits_2_before_mkdir(tc, tmp_path, capsys):
+    out = tmp_path / "plots"
+    assert run(["plot-data", f"--tc={tc}", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tc") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# error contract: bad arguments exit 2 with one line, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["push", "--force", "nan", "--dir", "left"],
+    ["simulate-block", "--alpha", "2"],
+    ["ca-predict", "--init", "0000", "--n", "0"],
+    ["cv", "--folds", "1"],
+    ["simulate-block", "--x1", "0.5"],
+    ["simulate-block", "--dt", "nan", "--t-end", "0.01"],   # DivergenceError
+])
+def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    if argv[0] == "simulate-block":
+        argv = argv + ["--out", str(tmp_path / "trace.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
+    from gaitforge import rocking_block
+
+    def chatter(*args, **kwargs):
+        raise rocking_block.ZenoError("more than 1000000 impacts")
+
+    monkeypatch.setattr(rocking_block, "simulate", chatter)
+    assert run(["simulate-block", "--out", str(tmp_path / "trace.csv")]) == 2
+    assert capsys.readouterr().err == \
+        "error: simulation failed: more than 1000000 impacts\n"
+
+
 # ---------------------------------------------------------------------------
 # other verbs
 # ---------------------------------------------------------------------------
