@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tables import read_csv, write_rows
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -234,30 +236,10 @@ def load_accelerometer_csv(path) -> dict[str, TimeSeries]:
 
     Returns one series per coordinate; the sample period is taken from the
     first two timestamps (1.0 for a single row). Malformed rows raise with
-    their line number.
+    their line number (see :func:`gaitforge.tables.read_csv`).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: line 1: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header != ["t", "x", "y", "z"]:
-        raise ValueError(f"{path}: line 1: expected header 't,x,y,z', got {lines[0]!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
-    if not rows:
-        raise ValueError(f"{path}: line 2: no data rows")
-    data = np.asarray(rows)
-    dt = float(data[1, 0] - data[0, 0]) if len(rows) > 1 else 1.0
+    data = np.asarray(read_csv(path, ("t", "x", "y", "z")))
+    dt = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 1.0
     if dt <= 0.0:
         dt = 1.0
     return {
@@ -268,27 +250,10 @@ def load_accelerometer_csv(path) -> dict[str, TimeSeries]:
 
 def write_joint_angle_csv(path, t: Sequence[float], theta1_deg: Sequence[float],
                           theta2_deg: Sequence[float]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,theta1_deg,theta2_deg\n")
-        for ti, a, b in zip(t, theta1_deg, theta2_deg):
-            fh.write(f"{ti:.6f},{a:.6f},{b:.6f}\n")
+    write_rows(path, "t,theta1_deg,theta2_deg", "%.6f,%.6f,%.6f",
+               zip(t, theta1_deg, theta2_deg))
 
 
 def load_joint_angle_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or [h.strip() for h in lines[0].split(",")] != ["t", "theta1_deg", "theta2_deg"]:
-        raise ValueError(f"{path}: line 1: expected header 't,theta1_deg,theta2_deg'")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: non-numeric field in {line!r}") from None
-    data = np.asarray(rows)
+    data = np.asarray(read_csv(path, ("t", "theta1_deg", "theta2_deg")))
     return data[:, 0], data[:, 1], data[:, 2]

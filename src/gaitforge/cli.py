@@ -13,13 +13,13 @@ others, so a cheap verb does not pay the start-up cost of an expensive one.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import push_fuzzy
 from .fixtures import fixture_path
+from .tables import json_text, write_json, write_rows
 
 if TYPE_CHECKING:
     from . import gait_model, learn
@@ -31,22 +31,6 @@ class InputError(Exception):
     :func:`main` treats a ``ValueError`` from the library the same way; raise
     this one to add context, such as the option or file at fault.
     """
-
-
-def _round6(obj):
-    if isinstance(obj, float):
-        return round(obj, 6)
-    if isinstance(obj, dict):
-        return {k: _round6(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round6(v) for v in obj]
-    return obj
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round6(doc), fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _load_bank(path: str | None) -> gait_model.FieldBank:
@@ -95,7 +79,7 @@ def cmd_gen_gait(args) -> int:
             for gap in traj.boundary_report
         ]
     }
-    _write_json(str(args.out) + ".report.json", report)
+    write_json(str(args.out) + ".report.json", report)
     validation = gait_model.validate_ranges(traj)
     print(f"wrote {len(traj)} samples to {args.out}")
     print("range check:", validation.summary())
@@ -129,8 +113,7 @@ def cmd_ca_predict(args) -> int:
     line = " ".join(s.bits for s in seq)
     print(line)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+        write_rows(args.out, None, "%s", [(line,)])
     return 0
 
 
@@ -180,6 +163,10 @@ def cmd_ingest(args) -> int:
 def cmd_features(args) -> int:
     from . import capture, features
 
+    # both go into every row unquoted
+    for option, value in (("--label", args.label), ("--subject", args.subject)):
+        if set(value) & set(',"\r\n'):
+            raise InputError(f"{option}: {value!r} may not contain , \" CR or LF")
     try:
         t, th1, th2 = capture.load_joint_angle_csv(args.infile)
     except FileNotFoundError:
@@ -262,7 +249,7 @@ def cmd_classify(args) -> int:
         preds, test.labels, train.n_classes
     )
     report = _metrics_report(cm, per_class, error, train.class_names)
-    _write_json(args.out, report)
+    write_json(args.out, report)
     print(f"overall error {error:.6f}; wrote {args.out}")
     return 0
 
@@ -299,7 +286,7 @@ def cmd_cv(args) -> int:
         }
         report["anova"] = anova.as_dict()
     if args.out:
-        _write_json(args.out, report)
+        write_json(args.out, report)
     accs = " ".join(f"{a:.6f}" for a in result.fold_accuracies)
     print(f"fold accuracies: {accs}")
     print(f"mean {result.mean:.6f} sigma {result.sigma:.6f}")
@@ -311,17 +298,12 @@ def cmd_push(args) -> int:
         magnitude=args.force, direction=push_fuzzy.Direction(args.dir)
     )
     try:
-        response = push_fuzzy.recover(push)
+        doc = push_fuzzy.recover(push).as_dict()
     except push_fuzzy.RecoveryImpossible as exc:
         doc = {"recovery_impossible": True, "reason": str(exc)}
-        print(json.dumps(_round6(doc), indent=1, sort_keys=True))
-        if args.out:
-            _write_json(args.out, doc)
-        return 0
-    doc = response.as_dict()
-    print(json.dumps(_round6(doc), indent=1, sort_keys=True))
+    print(json_text(doc))
     if args.out:
-        _write_json(args.out, doc)
+        write_json(args.out, doc)
     return 0
 
 
@@ -346,35 +328,30 @@ def cmd_plot_data(args) -> int:
     # phase portraits, one file per joint
     for jkey in gait_model.JOINT_KEYS:
         cycle = gait_model.limit_cycle(traj, jkey)
-        with open(outdir / f"limit_cycle_{jkey}.csv", "w", encoding="utf-8") as fh:
-            fh.write("angle,velocity\n")
-            for angle, velocity in cycle.points:
-                fh.write(f"{angle:.6f},{velocity:.6f}\n")
+        write_rows(outdir / f"limit_cycle_{jkey}.csv", "angle,velocity", "%.6f,%.6f",
+                   cycle.points.tolist())
 
     # stick-figure frames from hip/knee angles via forward kinematics
     geom = capture.TwoLinkGeometry(l1=config.l1, l2=config.l2)
     for side in ("left", "right"):
         hips = np.radians(traj.angles[f"{side}_hip"])
         knees = np.radians(traj.angles[f"{side}_knee"])
-        with open(outdir / f"stick_{side}.csv", "w", encoding="utf-8") as fh:
-            fh.write("x,y\n")
-            for i in range(0, len(traj), args.frame_stride):
-                # hang the leg from the hip: 0 degrees points straight down
-                t1 = hips[i] - np.pi / 2.0
-                elbow, tip = capture.fk_two_link(float(t1), float(knees[i]), geom)
-                fh.write("0.000000,0.000000\n")
-                fh.write(f"{elbow[0]:.6f},{elbow[1]:.6f}\n")
-                fh.write(f"{tip[0]:.6f},{tip[1]:.6f}\n")
+        points = []
+        for i in range(0, len(traj), args.frame_stride):
+            # hang the leg from the hip: 0 degrees points straight down
+            t1 = hips[i] - np.pi / 2.0
+            elbow, tip = capture.fk_two_link(float(t1), float(knees[i]), geom)
+            points += [(0.0, 0.0), elbow, tip]
+        write_rows(outdir / f"stick_{side}.csv", "x,y", "%.6f,%.6f", points)
 
     # box-plot statistics of each trajectory IMF
-    with open(outdir / "box_stats.csv", "w", encoding="utf-8") as fh:
-        fh.write("imf_index,value\n")
-        imfs, _ = features.emd_decompose(traj.angles["left_hip"])
-        for imf in imfs:
-            stats = features.quartile_stats(imf.values)
-            for value in (stats.q1 - 1.5 * stats.iqr, stats.q1, stats.q2,
-                          stats.q3, stats.q3 + 1.5 * stats.iqr):
-                fh.write(f"{imf.index},{value:.6f}\n")
+    imfs, _ = features.emd_decompose(traj.angles["left_hip"])
+    stats = []
+    for imf in imfs:
+        q = features.quartile_stats(imf.values)
+        stats += [(imf.index, value) for value in (q.q1 - 1.5 * q.iqr, q.q1, q.q2,
+                                                   q.q3, q.q3 + 1.5 * q.iqr)]
+    write_rows(outdir / "box_stats.csv", "imf_index,value", "%d,%.6f", stats)
     print(f"wrote plot data to {outdir}")
     return 0
 

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .capture import TimeSeries
+from .tables import write_rows
 
 MAX_SIFTS = 100
 SIFT_SD_TOL = 0.05           # Cauchy criterion between consecutive sifts
@@ -260,8 +261,7 @@ def write_feature_matrix_csv(path, rows: Sequence[tuple]) -> None:
 
     Each row is (subject, joint, imf_index, FeatureVector, label).
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("subject,joint,imf_index," + ",".join(FeatureVector.NAMES) + ",label\n")
-        for subject, joint, imf_index, fv, label in rows:
-            feats = ",".join(f"{v:.6f}" for v in fv.as_array())
-            fh.write(f"{subject},{joint},{imf_index},{feats},{label}\n")
+    header = "subject,joint,imf_index," + ",".join(FeatureVector.NAMES) + ",label"
+    row_format = "%s,%s,%s," + ",".join(["%.6f"] * len(FeatureVector.NAMES)) + ",%s"
+    write_rows(path, header, row_format,
+               ((subj, joint, i, *fv.as_array(), label) for subj, joint, i, fv, label in rows))

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .fixtures import fixture_path
+from .tables import write_json, write_rows
 
 CYCLE_LENGTH = 1.6
 
@@ -220,28 +221,20 @@ def eval_vector_field(vf: PolynomialVectorField, x, strict: bool = False):
 
 @dataclass(frozen=True)
 class GaitModelConfig:
-    """Physical and sampling parameters of the walking model.
+    """Leg geometry and sampling parameters of the walking model.
 
-    Lengths are meters, masses grams. Only `tc` and `schedule` affect
-    trajectory generation; the morphological parameters configure the model
-    for a subject and ride along into reports.
+    Lengths are meters. Only `tc` and `schedule` affect trajectory
+    generation; the link lengths pose the stick figures drawn from it.
     """
 
     l1: float = 0.4      # thigh
     l2: float = 0.4      # shank
-    l3: float = 0.1      # foot
-    m1: float = 5000.0   # torso
-    m2: float = 3000.0   # shank
-    m3: float = 1000.0   # swing
-    g: float = 9.8
-    gamma: float = 0.0   # ground slope, radians
     tc: float = DEFAULT_TC
     schedule: PhaseSchedule = field(default_factory=PhaseSchedule.guard)
 
     def __post_init__(self):
-        for name in ("l1", "l2", "l3", "m1", "m2", "m3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not (self.l1 > 0.0 and self.l2 > 0.0):
+            raise ValueError(f"link lengths must be positive, got {self.l1}, {self.l2}")
         if not (math.isfinite(self.tc) and self.tc > 0.0):
             raise ValueError(f"tc must be finite and strictly positive, got {self.tc}")
         # n_samples > MAX_SAMPLES exactly when x_max / tc >= MAX_SAMPLES; the
@@ -313,9 +306,7 @@ class FieldBank:
             return cls.from_dict(json.load(fh))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), digits=None)
 
     @classmethod
     def default(cls) -> "FieldBank":
@@ -353,11 +344,9 @@ class JointTrajectorySet:
     def write_tsv(self, path) -> None:
         """Tab-separated trajectory: time then the six joint columns, six
         decimal places."""
-        row = "\t".join(["%.6f"] * (1 + len(JOINT_KEYS))) + "\n"
         table = np.column_stack([self.x] + [self.angles[k] for k in JOINT_KEYS])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("time\t" + "\t".join(JOINT_KEYS) + "\n")
-            fh.writelines(row % tuple(values) for values in table.tolist())
+        write_rows(path, "\t".join(("time",) + JOINT_KEYS),
+                   "\t".join(["%.6f"] * (1 + len(JOINT_KEYS))), table.tolist())
 
 
 def generate_gait_cycle(

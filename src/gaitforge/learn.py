@@ -9,12 +9,13 @@ seeded and deterministic.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .tables import read_csv
 
 
 @dataclass
@@ -45,40 +46,13 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         return Dataset(self.features[idx], self.labels[idx], self.class_names)
 
-    def to_csv(self, path) -> None:
-        d = self.features.shape[1]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-            for row, lab in zip(self.features, self.labels):
-                writer.writerow([f"{v:.6f}" for v in row] + [self.class_names[lab]])
-
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[-1] != "label":
-                raise ValueError(f"{path}: line 1: expected a final 'label' column")
-            feats, names = [], []
-            class_names: list[str] = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    feats.append([float(v) for v in row[:-1]])
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric feature") from None
-                names.append(row[-1])
-            for name in names:
-                if name not in class_names:
-                    class_names.append(name)
-            labels = [class_names.index(n) for n in names]
-        return cls(np.asarray(feats), np.asarray(labels), tuple(class_names))
+        """Feature columns and a final ``label``; classes in order of first use."""
+        rows = read_csv(path, ("label",), labelled=True)
+        names = [row.pop() for row in rows]
+        class_names = tuple(dict.fromkeys(names))
+        return cls(np.asarray(rows), [class_names.index(n) for n in names], class_names)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .tables import write_rows
+
 
 class Mode(Enum):
     LEFT = "left"
@@ -46,8 +48,8 @@ class BlockParams:
             raise ValueError("alpha must lie in (0, pi/2)")
         if not 0.0 < self.r <= 1.0:
             raise ValueError("restitution must lie in (0, 1]")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -73,13 +75,8 @@ class BlockTrace:
 
     def write_csv(self, path) -> None:
         impact_times = {e.t for e in self.impacts}
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,mode,x1,x2,event\n")
-            for s in self.states:
-                flag = 1 if s.t in impact_times else 0
-                fh.write(
-                    f"{s.t:.6f},{s.mode.value},{s.x1:.6f},{s.x2:.6f},{flag}\n"
-                )
+        write_rows(path, "t,mode,x1,x2,event", "%.6f,%s,%.6f,%.6f,%d",
+                   ((s.t, s.mode.value, s.x1, s.x2, s.t in impact_times) for s in self.states))
 
 
 def flow(mode: Mode, x1: float, x2: float, alpha: float,
@@ -131,6 +128,7 @@ def step(state: BlockState, params: BlockParams) -> BlockState:
 _EVENT_TOL = 1e-10
 _REST_TOL = 1e-12
 MAX_IMPACTS = 1_000_000
+MAX_STATES = 1_000_000  # most integrator steps per run; each state holds ~190 bytes
 
 
 def _locate_crossing(state: BlockState, params: BlockParams) -> tuple[float, float, float]:
@@ -167,8 +165,16 @@ def simulate(init: BlockState, params: BlockParams, t_end: float,
     state plus the post-impact states; impacts carry pre and post velocity.
     Simulation stops early with status ``"at_rest"`` once the post-impact
     speed drops below 1e-12, and raises :class:`ZenoError` past the impact
-    budget.
+    budget. A non-finite initial state, a ``t_end`` that is negative or not
+    finite, and a run of more than :data:`MAX_STATES` steps raise
+    ``ValueError`` before the first step.
     """
+    if not all(map(math.isfinite, (init.x1, init.x2, init.t))):
+        raise ValueError(f"initial state must be finite, got {init}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    if (t_end - init.t) / params.dt > MAX_STATES:
+        raise ValueError(f"t_end {t_end} at dt {params.dt} takes over {MAX_STATES} steps")
     domain_ok = init.x1 <= _EVENT_TOL if init.mode == Mode.LEFT else init.x1 >= -_EVENT_TOL
     if not domain_ok:
         raise ValueError(f"initial state violates the {init.mode.value} domain")

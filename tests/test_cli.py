@@ -103,6 +103,46 @@ def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t-end", "inf"],
+    ["--t-end", "nan"],
+    ["--t-end", "-1"],
+    ["--t-end", "1e4", "--dt", "1e-5"],   # over rocking_block.MAX_STATES steps
+    ["--x2", "inf"],
+    ["--x1", "nan"],
+    ["--dt", "inf"],
+])
+def test_simulate_block_non_finite_or_oversized_exits_2_before_stepping(
+        argv, tmp_path, capsys, monkeypatch):
+    from gaitforge import rocking_block
+
+    def never(*args, **kwargs):
+        raise AssertionError("the integrator was about to step")
+
+    monkeypatch.setattr(rocking_block, "step", never)
+    out = tmp_path / "trace.csv"
+    assert run(["simulate-block"] + argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert argv[0].lstrip("-").replace("-", "_") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--label", "a,b"),
+    ("--label", 'say "hi"'),
+    ("--subject", "s1\r"),
+    ("--subject", "s1\nx"),
+])
+def test_features_rejects_unquotable_text_before_reading(option, value, tmp_path, capsys):
+    missing = tmp_path / "never_read.csv"
+    assert run(["features", "--in", str(missing), "--out", str(tmp_path / "f.csv"),
+                option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
     from gaitforge import rocking_block
 

@@ -30,6 +30,7 @@ from gaitforge.learn import (
     mlp_trainer,
     truncate_percent,
 )
+from gaitforge.tables import write_rows
 
 
 def two_blobs(n_per=20, seed=0, centers=((10.0, 10.0), (-10.0, -10.0))):
@@ -385,11 +386,16 @@ def test_anova_preconditions():
 def test_dataset_csv_roundtrip(tmp_path):
     data = two_blobs(n_per=5)
     path = tmp_path / "d.csv"
-    data.to_csv(path)
+    names = [data.class_names[lab] for lab in data.labels]
+    write_rows(path, "f0,f1,label", "%.6f,%.6f,%s",
+               [(*row, name) for row, name in zip(data.features.tolist(), names)])
     again = Dataset.from_csv(path)
     assert again.class_names == data.class_names
     assert np.array_equal(again.labels, data.labels)
-    assert np.allclose(again.features, data.features, atol=1e-6)
+    # each feature comes back as the float its six-decimal text spells
+    assert again.features.tolist() == [[float("%.6f" % v) for v in row]
+                                       for row in data.features.tolist()]
+    assert np.max(np.abs(again.features - data.features)) <= 5e-7
 
 
 def test_dataset_csv_errors(tmp_path):

@@ -1,0 +1,174 @@
+"""The shared file-format layer: every reader's line-numbered rejections,
+reached through the verbs that read, and byte equality of every writer with
+the per-value f-string writers it replaced (kept inline here as references).
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from gaitforge import capture, features
+from gaitforge import gait_model as gm
+from gaitforge.cli import main
+from gaitforge.rocking_block import BlockParams, BlockState, Mode, simulate
+from gaitforge.tables import write_json
+
+# ---------------------------------------------------------------------------
+# readers
+# ---------------------------------------------------------------------------
+
+# verb -> (header, one valid data row)
+READERS = {
+    "ingest": ("t,x,y,z", "0.0,6.0,2.0,0.0"),
+    "features": ("t,theta1_deg,theta2_deg", "0.0,1.0,2.0"),
+    "classify": ("f0,f1,label", "0.0,1.0,a"),
+}
+
+
+def first_field(row: str, value: str) -> str:
+    return value + row[row.index(","):]
+
+
+# case -> (data lines after the header, built from the valid row; faulty line; message)
+CASES = {
+    "header-only": (lambda ok: [], 2, "no data rows"),
+    "nan": (lambda ok: [ok, first_field(ok, "nan")], 3, "non-finite value"),
+    "inf": (lambda ok: [first_field(ok, "-inf")], 2, "non-finite value"),
+    "field count": (lambda ok: [ok, ok + ",0.0"], 3, "expected {n} fields, got {more}"),
+    "blank lines": (lambda ok: [ok, "", ok, "  ", first_field(ok, "oops")], 6,
+                    "non-numeric field"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("verb", sorted(READERS))
+def test_reader_rejects_with_line_number(verb, case, tmp_path, capsys):
+    header, ok = READERS[verb]
+    lines, lineno, problem = CASES[case]
+    bad = tmp_path / "in.csv"
+    bad.write_text("\n".join([header] + lines(ok)) + "\n")
+    out = tmp_path / "out"
+    if verb == "classify":
+        argv = ["classify", "--train", str(bad), "--test", str(bad), "--out", str(out)]
+    else:
+        argv = [verb, "--in", str(bad), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    n = header.count(",") + 1
+    problem = problem.format(n=n, more=n + 1)
+    assert err.startswith(f"error: {bad}: line {lineno}: {problem}"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# writers: the same bytes as the per-value f-string writers
+# ---------------------------------------------------------------------------
+
+def test_block_trace_bytes_match_per_value_formatting(tmp_path):
+    params = BlockParams(alpha=0.3, r=0.9, restoring_sign=True)
+    trace = simulate(BlockState(Mode.LEFT, -0.5, 0.0), params, 5.0)
+    assert trace.impacts and len(trace.states) > 5000
+    expected = tmp_path / "expected.csv"
+    impact_times = {e.t for e in trace.impacts}
+    with open(expected, "w", encoding="utf-8") as fh:
+        fh.write("t,mode,x1,x2,event\n")
+        for s in trace.states:
+            flag = 1 if s.t in impact_times else 0
+            fh.write(f"{s.t:.6f},{s.mode.value},{s.x1:.6f},{s.x2:.6f},{flag}\n")
+    got = tmp_path / "got.csv"
+    trace.write_csv(got)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def test_joint_angle_csv_bytes_match_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(3)
+    t = np.arange(2000) * 0.01
+    a = rng.normal(0.0, 90.0, 2000)
+    b = rng.normal(0.0, 1e-6, 2000)   # many values round to +-0.000000 or a last digit
+    a[:4] = [-0.0, 5e-7, -2.5e-7, 1e12]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8") as fh:
+        fh.write("t,theta1_deg,theta2_deg\n")
+        for ti, x, y in zip(t, a, b):
+            fh.write(f"{ti:.6f},{x:.6f},{y:.6f}\n")
+    got = tmp_path / "got.csv"
+    capture.write_joint_angle_csv(got, t, a, b)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def test_feature_matrix_bytes_match_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = [("s1", joint, i, features.feature_vector(rng.normal(0.0, 2.0, 64)), "normal")
+            for joint in ("theta1", "theta2") for i in range(5)]
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8") as fh:
+        fh.write("subject,joint,imf_index," + ",".join(features.FeatureVector.NAMES)
+                 + ",label\n")
+        for subject, joint, imf_index, fv, label in rows:
+            feats = ",".join(f"{v:.6f}" for v in fv.as_array())
+            fh.write(f"{subject},{joint},{imf_index},{feats},{label}\n")
+    got = tmp_path / "got.csv"
+    features.write_feature_matrix_csv(got, rows)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+def test_plot_data_bytes_match_per_value_formatting(tmp_path):
+    config = gm.GaitModelConfig(tc=0.005)
+    stride = 5
+    out = tmp_path / "plots"
+    assert main(["plot-data", "--tc", str(config.tc), "--frame-stride", str(stride),
+                 "--out-dir", str(out)]) == 0
+    traj = gm.generate_gait_cycle(gm.FieldBank.default(), config)
+    expected = {}
+    for jkey in gm.JOINT_KEYS:
+        text = "angle,velocity\n"
+        for angle, velocity in gm.limit_cycle(traj, jkey).points:
+            text += f"{angle:.6f},{velocity:.6f}\n"
+        expected[f"limit_cycle_{jkey}.csv"] = text
+    geom = capture.TwoLinkGeometry(l1=config.l1, l2=config.l2)
+    for side in ("left", "right"):
+        hips = np.radians(traj.angles[f"{side}_hip"])
+        knees = np.radians(traj.angles[f"{side}_knee"])
+        text = "x,y\n"
+        for i in range(0, len(traj), stride):
+            elbow, tip = capture.fk_two_link(float(hips[i] - np.pi / 2.0), float(knees[i]),
+                                             geom)
+            text += "0.000000,0.000000\n"
+            text += f"{elbow[0]:.6f},{elbow[1]:.6f}\n"
+            text += f"{tip[0]:.6f},{tip[1]:.6f}\n"
+        expected[f"stick_{side}.csv"] = text
+    text = "imf_index,value\n"
+    imfs, _ = features.emd_decompose(traj.angles["left_hip"])
+    for imf in imfs:
+        stats = features.quartile_stats(imf.values)
+        for value in (stats.q1 - 1.5 * stats.iqr, stats.q1, stats.q2,
+                      stats.q3, stats.q3 + 1.5 * stats.iqr):
+            text += f"{imf.index},{value:.6f}\n"
+    expected["box_stats.csv"] = text
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+
+def test_json_bytes_match_rounded_dump(tmp_path):
+    doc = {"b": [1.23456789, (2.0000004, -0.0)], "a": {"x": np.float64(1 / 3), "n": 7},
+           "s": "text", "none": None, "flag": True}
+
+    def round6(obj):
+        if isinstance(obj, float):
+            return round(obj, 6)
+        if isinstance(obj, dict):
+            return {k: round6(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [round6(v) for v in obj]
+        return obj
+
+    expected = tmp_path / "expected.json"
+    with open(expected, "w", encoding="utf-8") as fh:
+        json.dump(round6(doc), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    got = tmp_path / "got.json"
+    write_json(got, doc)
+    assert got.read_bytes() == expected.read_bytes()
