@@ -24,7 +24,6 @@ class TimeSeries:
 
     values: np.ndarray
     dt: float = 1.0
-    unit: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -50,8 +49,8 @@ class TwoLinkGeometry:
     l2: float = 4.0
 
     def __post_init__(self):
-        if self.l1 <= 0.0 or self.l2 <= 0.0:
-            raise ValueError("link lengths must be positive")
+        if not (0.0 < self.l1 < math.inf and 0.0 < self.l2 < math.inf):
+            raise ValueError(f"link lengths must be finite and positive, got {self.l1}, {self.l2}")
 
 
 COUNTS_MAX = 999
@@ -77,7 +76,7 @@ def counts_to_angle(theta_counts, theta0_counts):
 def counts_to_force(f_counts):
     """Force-sensor counts to Newtons."""
     f = _check_counts(f_counts, "f_counts")
-    out = f * 9.8 / 100.0
+    out = f * NEWTON_PER_COUNT
     return float(out) if np.isscalar(f_counts) else out
 
 
@@ -160,10 +159,7 @@ def ik_alg1_batch(xs: TimeSeries, ys: TimeSeries,
     k2 = geom.l2 * sin_t2
     theta1 = np.arctan2(y, x) - np.arctan2(k2, k1)
     theta2 = np.arctan2(sin_t2, cos_t2)
-    return (
-        TimeSeries(theta1, dt=xs.dt, unit="rad"),
-        TimeSeries(theta2, dt=xs.dt, unit="rad"),
-    )
+    return TimeSeries(theta1, dt=xs.dt), TimeSeries(theta2, dt=xs.dt)
 
 
 def zero_correct(series: TimeSeries) -> TimeSeries:
@@ -243,7 +239,7 @@ def load_accelerometer_csv(path) -> dict[str, TimeSeries]:
     if dt <= 0.0:
         dt = 1.0
     return {
-        name: TimeSeries(data[:, i + 1], dt=dt, unit="m/s^2")
+        name: TimeSeries(data[:, i + 1], dt=dt)
         for i, name in enumerate(("x", "y", "z"))
     }
 

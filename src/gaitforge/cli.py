@@ -33,17 +33,30 @@ class InputError(Exception):
     """
 
 
+def _read_input(path, reader):
+    """``reader(path)``, with a missing file reported as ``input not found``."""
+    try:
+        return reader(path)
+    except FileNotFoundError:
+        raise InputError(f"input not found: {path}") from None
+
+
+def _at_least_one(option: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{option}: must be >= 1, got {value}")
+
+
 def _load_bank(path: str | None) -> gait_model.FieldBank:
     from . import gait_model
 
     if path is None:
         return gait_model.FieldBank.default()
-    if not Path(path).exists():
-        raise InputError(f"model bank not found: {path}")
     try:
-        return gait_model.FieldBank.from_json(path)
-    except (ValueError, KeyError) as exc:
+        bank = _read_input(path, gait_model.FieldBank.from_json)
+        bank.require_complete()
+    except (ValueError, gait_model.MissingFieldError) as exc:
         raise InputError(f"{path}: malformed model bank: {exc}") from exc
+    return bank
 
 
 def _gait_config(args) -> gait_model.GaitModelConfig:
@@ -122,10 +135,7 @@ def cmd_ingest(args) -> int:
 
     from . import capture
 
-    try:
-        series = capture.load_accelerometer_csv(args.infile)
-    except FileNotFoundError:
-        raise InputError(f"input not found: {args.infile}") from None
+    series = _read_input(args.infile, capture.load_accelerometer_csv)
     xs, ys = series["x"], series["y"]
     if args.zero_correct:
         xs, ys = capture.zero_correct(xs), capture.zero_correct(ys)
@@ -149,7 +159,7 @@ def cmd_ingest(args) -> int:
                     capture.ik_two_link(float(x), float(y), geom, elbow=args.elbow)
                 )
             except capture.UnreachableError as exc:
-                raise InputError(f"{args.infile}: line {i + 2}: {exc}") from exc
+                raise InputError(f"{args.infile}: data row {i + 1}: {exc}") from exc
         theta1 = np.array([p[0] for p in pairs])
         theta2 = np.array([p[1] for p in pairs])
     t = xs.times
@@ -167,10 +177,8 @@ def cmd_features(args) -> int:
     for option, value in (("--label", args.label), ("--subject", args.subject)):
         if set(value) & set(',"\r\n'):
             raise InputError(f"{option}: {value!r} may not contain , \" CR or LF")
-    try:
-        t, th1, th2 = capture.load_joint_angle_csv(args.infile)
-    except FileNotFoundError:
-        raise InputError(f"input not found: {args.infile}") from None
+    _at_least_one("--max-imfs", args.max_imfs)
+    t, th1, th2 = _read_input(args.infile, capture.load_joint_angle_csv)
     rows = []
     for joint, series in (("theta1", th1), ("theta2", th2)):
         try:
@@ -204,9 +212,7 @@ def _metrics_report(cm, per_class, error, class_names) -> dict:
 def _load_dataset(path) -> learn.Dataset:
     from . import learn
 
-    if not Path(path).exists():
-        raise InputError(f"dataset not found: {path}")
-    return learn.Dataset.from_csv(path)
+    return _read_input(path, learn.Dataset.from_csv)
 
 
 def _parse_layers(text: str | None):
@@ -320,9 +326,10 @@ def cmd_plot_data(args) -> int:
             f"--tc: tc {config.tc} gives {config.n_samples} samples per cycle, "
             "plot-data needs at least 4"
         )
+    _at_least_one("--frame-stride", args.frame_stride)
+    bank = _load_bank(args.model_bank)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    bank = _load_bank(args.model_bank)
     traj = gait_model.generate_gait_cycle(bank, config)
 
     # phase portraits, one file per joint
@@ -466,9 +473,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         # ValueError covers the library's argument checks and its subclasses
-        # (RecoveryImpossible, StratificationError, UnreachableError, ...)
+        # (RecoveryImpossible, StratificationError, UnreachableError, ...);
+        # OSError a path that cannot be opened, such as a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,9 @@ from functools import lru_cache
 
 from .fixtures import fixture_path
 
+# Longest sequence predict_sequence builds; its states hold about 88 bytes each.
+MAX_STEPS = 1_000_000
+
 
 class Leg(IntEnum):
     LEFT = 0
@@ -101,8 +104,8 @@ def complement(subphase: SubPhase) -> SubPhase:
 
 def predict_sequence(init: CAState, n: int) -> list[CAState]:
     """Iterate the rule table; element 0 is the initial state."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= MAX_STEPS:
+        raise ValueError(f"n must lie in [1, {MAX_STEPS}], got {n}")
     seq = [init]
     for _ in range(n - 1):
         seq.append(next_state(seq[-1]))

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
-from typing import Iterable, Mapping, Sequence
+from enum import IntEnum
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -53,42 +53,8 @@ class GaitPhase(IntEnum):
         return GaitPhase((int(self) + 1) % 7)
 
 
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
-class Joint(Enum):
-    HIP = "hip"
-    KNEE = "knee"
-    ANKLE = "ankle"
-
-
-@dataclass(frozen=True)
-class JointId:
-    side: Side
-    joint: Joint
-
-    @property
-    def key(self) -> str:
-        return f"{self.side.value}_{self.joint.value}"
-
-    @classmethod
-    def from_key(cls, key: str) -> "JointId":
-        side, joint = key.split("_", 1)
-        return cls(Side(side), Joint(joint))
-
-
 # Column order used by trajectory files.
-JOINTS = (
-    JointId(Side.LEFT, Joint.HIP),
-    JointId(Side.RIGHT, Joint.HIP),
-    JointId(Side.LEFT, Joint.KNEE),
-    JointId(Side.RIGHT, Joint.KNEE),
-    JointId(Side.LEFT, Joint.ANKLE),
-    JointId(Side.RIGHT, Joint.ANKLE),
-)
-JOINT_KEYS = tuple(j.key for j in JOINTS)
+JOINT_KEYS = ("left_hip", "right_hip", "left_knee", "right_knee", "left_ankle", "right_ankle")
 
 
 class MissingFieldError(LookupError):
@@ -185,6 +151,8 @@ class PolynomialVectorField:
         coeffs = tuple(float(c) for c in self.coefficients)
         if not 3 <= len(coeffs) <= 5:
             raise ValueError("degree must be between 2 and 4")
+        if not all(map(math.isfinite, coeffs + (float(self.error_offset),))):
+            raise ValueError("coefficients and error offset must be finite")
         lo, hi = (float(v) for v in self.valid_interval)
         if not (hi > lo and 0.0 <= lo and hi <= CYCLE_LENGTH):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
@@ -194,9 +162,6 @@ class PolynomialVectorField:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    def __call__(self, x, strict: bool = False):
-        return eval_vector_field(self, x, strict=strict)
 
 
 def eval_vector_field(vf: PolynomialVectorField, x, strict: bool = False):
@@ -258,19 +223,15 @@ class FieldBank:
             joint: dict(phases) for joint, phases in fields.items()
         }
 
-    def get(self, joint: JointId | str, phase: GaitPhase | str) -> PolynomialVectorField:
-        jkey = joint.key if isinstance(joint, JointId) else joint
+    def get(self, jkey: str, phase: GaitPhase | str) -> PolynomialVectorField:
         pkey = phase.name if isinstance(phase, GaitPhase) else phase
         try:
             return self._fields[jkey][pkey]
         except KeyError:
             raise MissingFieldError(f"no field for ({jkey}, {pkey})") from None
 
-    def joints(self) -> tuple[str, ...]:
-        return tuple(self._fields)
-
-    def require_complete(self, joints: Iterable[str] = JOINT_KEYS) -> None:
-        for jkey in joints:
+    def require_complete(self) -> None:
+        for jkey in JOINT_KEYS:
             for phase in GaitPhase:
                 self.get(jkey, phase)
 
@@ -289,15 +250,26 @@ class FieldBank:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "FieldBank":
+        """Build from ``{joint: {phase: {"coeffs", "error", "interval"}}}``;
+        a document of another shape raises ValueError."""
+        if not isinstance(doc, Mapping):
+            raise ValueError("expected an object keyed by joint")
         fields: dict[str, dict[str, PolynomialVectorField]] = {}
         for jkey, phases in doc.items():
+            if not isinstance(phases, Mapping):
+                raise ValueError(f"{jkey}: expected an object keyed by phase")
             fields[jkey] = {}
             for pkey, spec in phases.items():
-                fields[jkey][pkey] = PolynomialVectorField(
-                    coefficients=tuple(spec["coeffs"]),
-                    error_offset=float(spec["error"]),
-                    valid_interval=tuple(spec["interval"]),
-                )
+                try:
+                    fields[jkey][pkey] = PolynomialVectorField(
+                        coefficients=tuple(spec["coeffs"]),
+                        error_offset=float(spec["error"]),
+                        valid_interval=tuple(spec["interval"]),
+                    )
+                except KeyError as exc:
+                    raise ValueError(f"field ({jkey}, {pkey}) has no {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"field ({jkey}, {pkey}): {exc}") from None
         return cls(fields)
 
     @classmethod
@@ -336,10 +308,6 @@ class JointTrajectorySet:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def joint(self, joint: JointId | str) -> np.ndarray:
-        key = joint.key if isinstance(joint, JointId) else joint
-        return self.angles[key]
 
     def write_tsv(self, path) -> None:
         """Tab-separated trajectory: time then the six joint columns, six
@@ -454,10 +422,9 @@ class RangeTable:
     def rows(self) -> tuple[str, ...]:
         return tuple(self._rows)
 
-    def interval(self, row: str | GaitPhase, joint: JointId | str):
+    def interval(self, row: str | GaitPhase, jkey: str):
         if isinstance(row, GaitPhase):
             row = RANGE_ROW_OF_PHASE[row]
-        jkey = joint.key if isinstance(joint, JointId) else joint
         return self._rows.get(row, {}).get(jkey)
 
     @classmethod
@@ -593,14 +560,14 @@ class LimitCycle:
     closure_gap: float  # distance between first and last portrait points
 
 
-def limit_cycle(traj: JointTrajectorySet, joint: JointId | str) -> LimitCycle:
+def limit_cycle(traj: JointTrajectorySet, jkey: str) -> LimitCycle:
     """Angle/velocity portrait of one joint over the cycle.
 
     Velocities come from central differences (one-sided at the ends) on the
     trajectory grid. The closure gap between the first and last points is
     reported, not asserted: a periodic, stable gait closes its loop.
     """
-    angles = traj.joint(joint)
+    angles = traj.angles[jkey]
     if len(angles) < 3:
         raise ValueError("need at least 3 samples for a phase portrait")
     velocity = np.gradient(angles, traj.tc)

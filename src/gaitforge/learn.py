@@ -150,40 +150,30 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-_ACTIVATIONS = {
-    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
-    "tanh": (np.tanh, lambda a: 1.0 - a * a),
-}
-
-
 @dataclass
 class MlpModel:
     layers: tuple[int, ...]
     weights: list[np.ndarray]   # weights[l] has shape (layers[l], layers[l+1])
     biases: list[np.ndarray]
-    activation: str = "sigmoid"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.layers[l], self.layers[l + 1]) or b.shape != (self.layers[l + 1],):
                 raise ValueError("weight/bias shapes inconsistent with layer sizes")
 
 
-def mlp_init(layers: Sequence[int], seed: int = 42, activation: str = "sigmoid") -> MlpModel:
+def mlp_init(layers: Sequence[int], seed: int = 42) -> MlpModel:
     rng = np.random.default_rng(seed)
     layers = tuple(int(n) for n in layers)
     weights = [rng.uniform(-1.0, 1.0, size=(a, b)) for a, b in zip(layers, layers[1:])]
     biases = [rng.uniform(-1.0, 1.0, size=b) for b in layers[1:]]
-    return MlpModel(layers=layers, weights=weights, biases=biases, activation=activation)
+    return MlpModel(layers=layers, weights=weights, biases=biases)
 
 
 def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    act, _ = _ACTIVATIONS[model.activation]
     activations = [np.asarray(x, dtype=float)]
     for w, b in zip(model.weights, model.biases):
-        activations.append(act(activations[-1] @ w + b))
+        activations.append(_sigmoid(activations[-1] @ w + b))
     return activations
 
 
@@ -198,30 +188,30 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
 def mlp_gradients(model: MlpModel, x, target) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the squared-error cost 0.5*||out - target||^2 for one
     sample, layer by layer."""
-    _, dact = _ACTIVATIONS[model.activation]
     acts = _forward(model, np.asarray(x, dtype=float))
     target = np.asarray(target, dtype=float)
-    delta = (acts[-1] - target) * dact(acts[-1])
+    # a * (1 - a) is the sigmoid's slope at activation a; regrouping the
+    # product changes its rounding and so the trained weights
+    delta = (acts[-1] - target) * (acts[-1] * (1.0 - acts[-1]))
     grads_w: list[np.ndarray] = [None] * len(model.weights)
     grads_b: list[np.ndarray] = [None] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
         grads_w[l] = np.outer(acts[l], delta)
         grads_b[l] = delta.copy()
         if l > 0:
-            delta = (model.weights[l] @ delta) * dact(acts[l])
+            delta = (model.weights[l] @ delta) * (acts[l] * (1.0 - acts[l]))
     return grads_w, grads_b
 
 
 def mlp_train_raw(inputs, targets, layers: Sequence[int], eta: float,
-                  epochs: int, seed: int = 42,
-                  activation: str = "sigmoid") -> MlpModel:
+                  epochs: int, seed: int = 42) -> MlpModel:
     """Per-sample gradient descent on raw (input, target) pairs.
 
     Weights and thresholds move against the gradient after every sample, in
     data order, for ``epochs`` passes. Deterministic for a fixed seed.
     """
-    if eta <= 0.0:
-        raise ValueError("learning rate must be positive")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"learning rate must be finite and positive, got {eta}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     x = np.asarray(inputs, dtype=float)
@@ -229,9 +219,11 @@ def mlp_train_raw(inputs, targets, layers: Sequence[int], eta: float,
     if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
         raise ValueError("inputs and targets must be matching 2-d arrays")
     layers = tuple(int(n) for n in layers)
+    if min(layers) < 1:
+        raise ValueError(f"layer sizes must be >= 1, got {layers}")
     if x.shape[1] != layers[0] or y.shape[1] != layers[-1]:
         raise ValueError("layer sizes do not match the data dimensions")
-    model = mlp_init(layers, seed=seed, activation=activation)
+    model = mlp_init(layers, seed=seed)
     for _ in range(epochs):
         for xi, yi in zip(x, y):
             gw, gb = mlp_gradients(model, xi, yi)
@@ -242,14 +234,13 @@ def mlp_train_raw(inputs, targets, layers: Sequence[int], eta: float,
 
 
 def mlp_train(data: Dataset, layers: Sequence[int], eta: float, epochs: int,
-              seed: int = 42, activation: str = "sigmoid") -> MlpModel:
+              seed: int = 42) -> MlpModel:
     """Train on a labeled dataset with one-hot targets."""
     layers = tuple(int(n) for n in layers)
     if layers[-1] != data.n_classes:
         raise ValueError("output layer size must equal the number of classes")
     targets = np.eye(data.n_classes)[data.labels]
-    return mlp_train_raw(data.features, targets, layers, eta, epochs,
-                         seed=seed, activation=activation)
+    return mlp_train_raw(data.features, targets, layers, eta, epochs, seed=seed)
 
 
 def mlp_classify(model: MlpModel, x) -> int:
@@ -335,10 +326,10 @@ def knn_trainer(k: int) -> Callable[[Dataset], Callable]:
 
 
 def mlp_trainer(layers: Sequence[int] | None, eta: float, epochs: int,
-                seed: int = 42, activation: str = "sigmoid") -> Callable[[Dataset], Callable]:
+                seed: int = 42) -> Callable[[Dataset], Callable]:
     def trainer(train: Dataset):
         arch = layers or (train.features.shape[1], 8, train.n_classes)
-        model = mlp_train(train, arch, eta, epochs, seed=seed, activation=activation)
+        model = mlp_train(train, arch, eta, epochs, seed=seed)
         def predict(features):
             return np.array([mlp_classify(model, row) for row in np.atleast_2d(features)])
         return predict

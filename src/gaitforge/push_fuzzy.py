@@ -58,9 +58,6 @@ REACTION_KEYS = (
 ROLL_KEYS = ("small_roll", "average_roll", "large_roll")
 PITCH_KEYS = ("small_pitch", "average_pitch", "large_pitch")
 
-FORCE_LIMIT = 12.0
-
-
 class RecoveryImpossible(ValueError):
     """Push magnitude beyond the recoverable envelope."""
 

@@ -1,14 +1,21 @@
+import argparse
+import io
 import json
 import math
+import os
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaitforge.cli import main
+from gaitforge.cli import build_parser, main
 from gaitforge import gait_ca
 from gaitforge import gait_model as gm
 from gaitforge.fixtures import fixture_dir, fixture_path
+from gaitforge.tables import write_rows
 
 
 def run(args):
@@ -86,6 +93,9 @@ def test_plot_data_too_few_samples_exits_2_before_mkdir(tc, tmp_path, capsys):
 # error contract: bad arguments exit 2 with one line, never a traceback
 # ---------------------------------------------------------------------------
 
+OUT, ACC, ANGLES = "<out>", "<acc>", "<angles>"   # replaced by paths under tmp_path
+
+
 @pytest.mark.parametrize("argv", [
     ["push", "--force", "nan", "--dir", "left"],
     ["simulate-block", "--alpha", "2"],
@@ -93,14 +103,33 @@ def test_plot_data_too_few_samples_exits_2_before_mkdir(tc, tmp_path, capsys):
     ["cv", "--folds", "1"],
     ["simulate-block", "--x1", "0.5"],
     ["simulate-block", "--dt", "nan", "--t-end", "0.01"],   # DivergenceError
+    ["plot-data", "--frame-stride", "0", "--out-dir", OUT],
+    ["plot-data", "--frame-stride", "-1", "--out-dir", OUT],
+    ["cv", "--method", "mlp", "--eta", "nan", "--epochs", "2", "--out", OUT],
+    ["cv", "--method", "mlp", "--layers", "6,0,4", "--epochs", "2", "--out", OUT],
+    ["features", "--in", ANGLES, "--max-imfs", "0", "--out", OUT],
+    ["ca-predict", "--init", "0000", "--n", str(gait_ca.MAX_STEPS + 1), "--out", OUT],
+    ["ingest", "--in", ACC, "--ik", "exact", "--l1", "nan", "--out", OUT],
 ])
-def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys):
+def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a CA sequence was about to be built")
+
+    monkeypatch.setattr(gait_ca, "next_state", never)
+    acc, angles = tmp_path / "acc.csv", tmp_path / "angles.csv"
+    t = np.arange(40) * 0.01
+    write_rows(acc, "t,x,y,z", "%.2f,%.6f,%.6f,0.0", zip(t, 6.0 + np.sin(9 * t), 2.0 + t))
+    write_rows(angles, "t,theta1_deg,theta2_deg", "%.6f,%.6f,%.6f",
+               zip(t, np.sin(9 * t), np.cos(7 * t)))
+    out = tmp_path / "out"
+    argv = [{OUT: str(out), ACC: str(acc), ANGLES: str(angles)}.get(a, a) for a in argv]
     if argv[0] == "simulate-block":
         argv = argv + ["--out", str(tmp_path / "trace.csv")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,6 +172,51 @@ def test_features_rejects_unquotable_text_before_reading(option, value, tmp_path
     assert not (tmp_path / "f.csv").exists()
 
 
+def write_bad_inputs(work):
+    doc = gm.FieldBank.default().to_dict()
+    nan_coeff = json.loads(json.dumps(doc))
+    nan_coeff["left_knee"]["MST"]["coeffs"][0] = float("nan")
+    banks = {
+        "list.json": [1, 2],
+        "flat.json": {"left_hip": 5},
+        "no_ankle.json": {k: v for k, v in doc.items() if k != "right_ankle"},
+        "nan.json": nan_coeff,
+    }
+    for name, content in banks.items():
+        (work / name).write_text(json.dumps(content))
+    (work / "adir").mkdir()
+
+
+DATA = str(fixture_path("synthetic_gait_features.csv"))
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["gen-gait", "--model-bank", "list.json"], "list.json: malformed model bank: "),
+    (["gen-gait", "--model-bank", "flat.json"], "flat.json: malformed model bank: "),
+    (["gen-gait", "--model-bank", "no_ankle.json"], "no_ankle.json: malformed model bank: "),
+    (["gen-gait", "--model-bank", "nan.json"], "nan.json: malformed model bank: "),
+    (["plot-data", "--model-bank", "nan.json"], "nan.json: malformed model bank: "),
+    (["gen-gait", "--model-bank", "adir"], ""),
+    (["ingest", "--in", "adir"], ""),
+    (["classify", "--train", "adir", "--test", DATA], ""),
+    (["gen-gait", "--model-bank", "missing.json"], "input not found: missing.json\n"),
+    (["plot-data", "--model-bank", "missing.json"], "input not found: missing.json\n"),
+    (["classify", "--train", "missing.csv", "--test", DATA], "input not found: missing.csv\n"),
+    (["classify", "--train", DATA, "--test", "missing.csv"], "input not found: missing.csv\n"),
+    (["cv", "--data", "missing.csv"], "input not found: missing.csv\n"),
+])
+def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
+    write_bad_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    out = ["--out-dir" if argv[0] == "plot-data" else "--out", "out"]
+    assert run(argv + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix) and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
     from gaitforge import rocking_block
 
@@ -153,6 +227,70 @@ def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
     assert run(["simulate-block", "--out", str(tmp_path / "trace.csv")]) == 2
     assert capsys.readouterr().err == \
         "error: simulation failed: more than 1000000 impacts\n"
+
+
+# ---------------------------------------------------------------------------
+# hostile argument values: every verb exits 0 or 2, never with a traceback
+# ---------------------------------------------------------------------------
+
+# one cheap run per verb; paths are relative to the hostile_dir fixture
+BASELINES = {
+    "gen-gait": ["--out", "t.tsv"],
+    "simulate-block": ["--t-end", "0.1", "--out", "b.csv"],
+    "ca-predict": ["--init", "0101", "--n", "4"],
+    "ingest": ["--in", "acc.csv", "--out", "a.csv"],
+    "features": ["--in", "angles.csv", "--out", "f.csv"],
+    "classify": ["--train", "ds.csv", "--test", "ds.csv", "--method", "mlp",
+                 "--epochs", "2", "--out", "m.json"],
+    "cv": ["--data", "ds.csv", "--method", "mlp", "--epochs", "2", "--folds", "2",
+           "--out", "cv.json"],
+    "push": ["--force", "5", "--dir", "left"],
+    "plot-data": ["--tc", "0.05", "--out-dir", "plots"],
+}
+# "." is a directory where a file is expected
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "", "abc", "."]
+VERBS = next(a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.fixture(scope="module")
+def hostile_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("hostile")
+    t = np.arange(60) * 0.01
+    write_rows(work / "acc.csv", "t,x,y,z", "%.2f,%.6f,%.6f,0.0",
+               zip(t, 6.0 + 2.0 * np.sin(2 * np.pi * t), 2.0 + np.cos(2 * np.pi * t)))
+    write_rows(work / "angles.csv", "t,theta1_deg,theta2_deg", "%.2f,%.6f,%.6f",
+               zip(t, 10.0 * np.sin(9 * t), 5.0 * np.cos(7 * t)))
+    write_rows(work / "ds.csv", "f0,f1,label", "%d,%d,%s",
+               [(i, i % 3, "ab"[i % 2]) for i in range(12)])
+    return work
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hostile_argument_value_exits_0_or_2(verb, hostile_dir, data):
+    options = [a.option_strings[-1] for a in VERBS[verb]._actions
+               if a.option_strings and a.nargs != 0]
+    option = data.draw(st.sampled_from(options), label="option")
+    value = data.draw(st.sampled_from(HOSTILE), label="value")
+    argv = [verb] + BASELINES[verb]
+    if option in argv:
+        del argv[argv.index(option):argv.index(option) + 2]
+    argv.append(f"{option}={value}")   # "=" keeps "-inf" a value, not a flag
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(hostile_dir)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:   # argparse rejected the value
+                rc = exc.code
+    finally:
+        os.chdir(cwd)
+    assert rc in (0, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +352,17 @@ def test_ingest_malformed_line_number(tmp_path, capsys):
     acc.write_text("t,x,y,z\n0.0,6.0,2.0,0.0\n0.01,bad,2.0,0.0\n")
     assert run(["ingest", "--in", str(acc), "--out", str(tmp_path / "a.csv")]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_ingest_unreachable_point_named_by_data_row(tmp_path, capsys):
+    # file line 5, after two blank lines the reader skips: the second data row
+    acc = tmp_path / "acc.csv"
+    acc.write_text("t,x,y,z\n0.0,6.0,2.0,0.0\n\n\n0.01,60.0,2.0,0.0\n")
+    out = tmp_path / "a.csv"
+    assert run(["ingest", "--in", str(acc), "--out", str(out), "--ik", "exact"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {acc}: data row 2: point (60.0, 2.0) outside reach [1.0, 9.0]\n"
+    assert not out.exists()
 
 
 def test_ingest_exact_ik_with_smoothing_options(tmp_path):
