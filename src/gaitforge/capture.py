@@ -201,13 +201,92 @@ def smooth_moving_average(series: TimeSeries, rms_tol: float = 1e-4) -> TimeSeri
     return replace(series, values=resampled)
 
 
+def natural_spline(x, y, xs) -> np.ndarray:
+    """Natural cubic spline through the knots (x, y), evaluated at xs.
+
+    x must be strictly increasing, with at least two finite knots; points
+    outside the knots extrapolate from the end pieces. The result equals
+    scipy 1.17's ``CubicSpline(x, y, bc_type="natural")(xs)`` bit for bit,
+    signed zeros included, because every step repeats its operation order:
+    EMD's ``count_extrema(residue) < 2`` stop reacts to the last bit of the
+    envelopes, so a spline that only agrees to rounding changes features.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+
+    # CubicSpline's tridiagonal system for the slopes at the knots; the end
+    # rows are its rows for a prescribed second derivative, here 0.0
+    d = np.empty(n)
+    du = np.empty(n - 1)
+    dl = np.empty(n - 1)
+    b = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    du[1:] = dx[:-1]
+    dl[:-1] = dx[1:]
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d[0] = 2 * dx[0]
+    du[0] = dx[0]
+    b[0] = -0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0])
+    d[-1] = 2 * dx[-1]
+    dl[-1] = dx[-1]
+    b[-1] = 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+
+    # LAPACK dgtsv: Gaussian elimination with partial pivoting, which swaps
+    # rows i and i+1 where the sub-diagonal outweighs the pivot (at row 0
+    # when dx[1] > 2*dx[0]); a swap leaves fill-in in dl[i]
+    d, du, dl, b = d.tolist(), du.tolist(), dl.tolist(), b.tolist()
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    # back substitution; the dl term stays where dl is 0.0, since
+    # subtracting -0.0 turns a -0.0 into 0.0
+    b[n - 1] /= d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    s = np.array(b)
+
+    # CubicHermiteSpline's power-form coefficients, highest degree first
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    c2 = s[:-1]
+    c3 = y[:-1]
+
+    # PPoly: piece k holds x[k] <= xs < x[k+1], the last piece is closed and
+    # the end pieces extrapolate; powers are summed upward from 0.0 (so a
+    # -0.0 knot value comes out as 0.0), not by Horner
+    k = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, n - 2)
+    h = xs - x[k]
+    res = 0.0 + c3[k] * 1.0
+    res += c2[k] * h
+    z = h * h
+    res += c1[k] * z
+    z *= h
+    res += c0[k] * z
+    return res
+
+
 def smooth_cubic_spline(series: TimeSeries, knot_stride: int = 5) -> TimeSeries:
     """Natural cubic spline through every ``knot_stride``-th sample,
     evaluated on the original grid."""
-    # scipy is imported here, not at the top: it takes most of a second to
-    # import and only the spline smoother needs it
-    from scipy.interpolate import CubicSpline
-
     if knot_stride < 1:
         raise ValueError("knot stride must be >= 1")
     n = len(series)
@@ -219,8 +298,7 @@ def smooth_cubic_spline(series: TimeSeries, knot_stride: int = 5) -> TimeSeries:
     if len(idx) < 2:
         return replace(series, values=series.values.copy())
     t = series.times
-    spline = CubicSpline(t[idx], series.values[idx], bc_type="natural")
-    return replace(series, values=spline(t))
+    return replace(series, values=natural_spline(t[idx], series.values[idx], t))
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,16 @@ places. Bad input (a missing or malformed file, an out-of-range argument)
 exits with status 2 and a one-line ``error:`` message, line-numbered where
 one applies.
 
-Each verb imports the library modules, numpy and scipy it runs and no
-others, so a cheap verb does not pay the start-up cost of an expensive one.
+Each verb imports the library modules it runs and no others, so a cheap
+verb does not pay the start-up cost of an expensive one: ``push``,
+``ca-predict`` and ``simulate-block`` start on bare Python, the rest load
+numpy. No verb needs scipy.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -44,6 +47,18 @@ def _read_input(path, reader):
 def _at_least_one(option: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{option}: must be >= 1, got {value}")
+
+
+# every path option, by argparse dest; an empty value is an error, not an
+# absent option
+PATH_OPTIONS = {"infile": "--in", "out": "--out", "data": "--data", "train": "--train",
+                "test": "--test", "model_bank": "--model-bank", "out_dir": "--out-dir"}
+
+
+def _check_paths(args) -> None:
+    for dest, option in PATH_OPTIONS.items():
+        if getattr(args, dest, None) == "":
+            raise InputError(f"{option}: empty path")
 
 
 def _load_bank(path: str | None) -> gait_model.FieldBank:
@@ -125,7 +140,7 @@ def cmd_ca_predict(args) -> int:
     seq = gait_ca.predict_sequence(init, args.n)
     line = " ".join(s.bits for s in seq)
     print(line)
-    if args.out:
+    if args.out is not None:
         write_rows(args.out, None, "%s", [(line,)])
     return 0
 
@@ -135,6 +150,7 @@ def cmd_ingest(args) -> int:
 
     from . import capture
 
+    _at_least_one("--knot-stride", args.knot_stride)
     series = _read_input(args.infile, capture.load_accelerometer_csv)
     xs, ys = series["x"], series["y"]
     if args.zero_correct:
@@ -216,22 +232,33 @@ def _load_dataset(path) -> learn.Dataset:
 
 
 def _parse_layers(text: str | None):
-    if not text:
+    if text is None:
         return None
     try:
-        return tuple(int(v) for v in text.split(","))
+        layers = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise InputError(f"bad --layers value {text!r}") from None
+        raise InputError(f"--layers: {text!r} is not a comma-separated list of sizes") from None
+    if min(layers) < 1:
+        raise InputError(f"--layers: sizes must be >= 1, got {text!r}")
+    return layers
 
 
-def _make_trainer(args):
+def _make_trainer(args, method: str):
+    """The ``method`` trainer. Every trainer option is checked, also those
+    the method ignores, so an argv's exit status does not hang on
+    ``--method``; callers make the trainer before reading any input."""
     from . import learn
 
-    if args.method == "knn":
+    _at_least_one("--k", args.k)
+    _at_least_one("--epochs", args.epochs)
+    if not (math.isfinite(args.eta) and args.eta > 0.0):
+        raise InputError(f"--eta: must be finite and positive, got {args.eta}")
+    if args.seed < 0:
+        raise InputError(f"--seed: must be >= 0, got {args.seed}")
+    layers = _parse_layers(args.layers)
+    if method == "knn":
         return learn.knn_trainer(args.k)
-    return learn.mlp_trainer(
-        _parse_layers(args.layers), eta=args.eta, epochs=args.epochs, seed=args.seed
-    )
+    return learn.mlp_trainer(layers, eta=args.eta, epochs=args.epochs, seed=args.seed)
 
 
 def cmd_classify(args) -> int:
@@ -239,6 +266,7 @@ def cmd_classify(args) -> int:
 
     from . import learn
 
+    trainer = _make_trainer(args, args.method)
     train = _load_dataset(args.train)
     test = _load_dataset(args.test)
     if train.class_names != test.class_names:
@@ -249,7 +277,7 @@ def cmd_classify(args) -> int:
         except KeyError as exc:
             raise InputError(f"test set has unknown class {exc}") from exc
         test = learn.Dataset(test.features, relabeled, train.class_names)
-    predict = _make_trainer(args)(train)
+    predict = trainer(train)
     preds = predict(test.features)
     cm, per_class, error = learn.confusion_and_accuracy(
         preds, test.labels, train.n_classes
@@ -263,10 +291,12 @@ def cmd_classify(args) -> int:
 def cmd_cv(args) -> int:
     from . import learn
 
-    data = _load_dataset(args.data) if args.data else learn.Dataset.from_csv(
+    trainer = _make_trainer(args, args.method)
+    base_trainer = _make_trainer(args, args.baseline) if args.baseline else None
+    data = _load_dataset(args.data) if args.data is not None else learn.Dataset.from_csv(
         fixture_path("synthetic_gait_features.csv")
     )
-    result = learn.kfold_cv(data, _make_trainer(args), folds=args.folds, seed=args.seed)
+    result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
     report = {
         "folds": args.folds,
         "method": args.method,
@@ -275,11 +305,8 @@ def cmd_cv(args) -> int:
         "variance": result.variance,
         "sigma": result.sigma,
     }
-    if args.baseline:
-        base_args = argparse.Namespace(**vars(args))
-        base_args.method = args.baseline
-        baseline = learn.kfold_cv(data, _make_trainer(base_args),
-                                  folds=args.folds, seed=args.seed)
+    if base_trainer is not None:
+        baseline = learn.kfold_cv(data, base_trainer, folds=args.folds, seed=args.seed)
         anova = learn.anova_single_factor(
             [result.fold_accuracies, baseline.fold_accuracies]
         )
@@ -291,7 +318,7 @@ def cmd_cv(args) -> int:
             "sigma": baseline.sigma,
         }
         report["anova"] = anova.as_dict()
-    if args.out:
+    if args.out is not None:
         write_json(args.out, report)
     accs = " ".join(f"{a:.6f}" for a in result.fold_accuracies)
     print(f"fold accuracies: {accs}")
@@ -308,7 +335,7 @@ def cmd_push(args) -> int:
     except push_fuzzy.RecoveryImpossible as exc:
         doc = {"recovery_impossible": True, "reason": str(exc)}
     print(json_text(doc))
-    if args.out:
+    if args.out is not None:
         write_json(args.out, doc)
     return 0
 
@@ -472,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (InputError, OSError, ValueError) as exc:
         # ValueError covers the library's argument checks and its subclasses

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .capture import TimeSeries
+from .capture import TimeSeries, natural_spline
 from .tables import write_rows
 
 MAX_SIFTS = 100
@@ -57,8 +57,6 @@ def count_zero_crossings(x: np.ndarray) -> int:
 def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through the extrema, with up to two extrema
     mirrored across each end so the envelope does not sag at the borders."""
-    from scipy.interpolate import CubicSpline  # slow to import; see capture
-
     t = idx.astype(float)
     v = vals
     k = min(2, len(idx))
@@ -72,8 +70,7 @@ def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     vv = vv[keep]
     if len(tt) < 2:
         return np.full(n, vv[0])
-    spline = CubicSpline(tt, vv, bc_type="natural")
-    return spline(np.arange(n, dtype=float))
+    return natural_spline(tt, vv, np.arange(n, dtype=float))
 
 
 def envelope_mean(x: np.ndarray) -> np.ndarray | None:

@@ -439,6 +439,59 @@ def biometric_metrics(cm: ConfusionMatrix) -> BiometricMetrics:
 # One-way ANOVA
 # ---------------------------------------------------------------------------
 
+_LENTZ_TINY = 1e-300      # stands in for a zero Lentz denominator
+_CF_EPS = 1e-16           # relative step at which the fraction has converged
+_CF_MAX_TERMS = 10_000
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta I_x(a, b),
+    by modified Lentz (Numerical Recipes 3rd ed., section 6.4). It
+    converges quickly for x < (a + 1) / (a + b + 2)."""
+    def nonzero(v):
+        return v if abs(v) >= _LENTZ_TINY else _LENTZ_TINY
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_TERMS):
+        # the even and then the odd term of the fraction
+        for aa in (m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m))):
+            d = 1.0 / nonzero(1.0 + aa * d)
+            c = nonzero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta ({a}, {b}, {x}) did not converge")
+
+
+def f_survival(d1: float, d2: float, f: float) -> float:
+    """P(X > f) for X ~ F(d1, d2), i.e. I_w(d2/2, d1/2) with w = d2/(d2 + d1 f).
+
+    Takes the place of scipy's ``special.fdtrc``: for d1 in 1..5 and d2 in
+    2..59 the two agree to about 1.3e-13 relative, far below the six
+    decimals an ANOVA report prints. The lgamma prefactor loses digits as
+    the degrees of freedom grow (about 1e-9 relative at d2 = 1e6).
+    """
+    if math.isnan(f) or f < 0.0:
+        return math.nan
+    if f == 0.0:
+        return 1.0
+    if math.isinf(d1 * f):
+        return 0.0   # below 1e-150 for any d2 >= 1
+    a, b = d2 / 2.0, d1 / 2.0
+    # w and 1 - w, each without cancellation
+    den = d2 + d1 * f
+    w, w1 = d2 / den, d1 * f / den
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(w) + b * math.log(w1))
+    if w < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, w) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, w1) / b
+
+
 @dataclass
 class AnovaResult:
     ss_between: float
@@ -476,10 +529,8 @@ def _anova_from_moments(ns, means, variances) -> AnovaResult:
         else:
             f, p = math.inf, 0.0
     else:
-        from scipy import special  # slow to import; only the p-value needs it
-
         f = ms_between / ms_within
-        p = float(special.fdtrc(df_between, df_within, f))
+        p = f_survival(df_between, df_within, f)
     return AnovaResult(ss_between, ss_within, df_between, df_within,
                        ms_between, ms_within, f, p)
 

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from gaitforge.capture import (
     DegenerateNormalizationError,
@@ -17,6 +18,7 @@ from gaitforge.capture import (
     ik_two_link,
     load_accelerometer_csv,
     load_joint_angle_csv,
+    natural_spline,
     smooth_cubic_spline,
     smooth_moving_average,
     write_joint_angle_csv,
@@ -239,6 +241,48 @@ def test_spline_smoother_interpolates_knots():
     # knots are reproduced exactly
     for i in range(0, 21, 5):
         assert out.values[i] == pytest.approx(series.values[i], abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 300), spacing=st.sampled_from(["uniform", "irregular", "jumps"]),
+       exponent=st.floats(-6.0, 6.0), zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2, spacing="irregular", exponent=0.0, zeros=False, seed=0)
+@example(n=2, spacing="uniform", exponent=-6.0, zeros=True, seed=1)
+@example(n=3, spacing="jumps", exponent=6.0, zeros=False, seed=2)
+@example(n=3, spacing="irregular", exponent=0.0, zeros=True, seed=3)
+def test_natural_spline_equals_scipy_bit_for_bit(n, spacing, exponent, zeros, seed):
+    rng = np.random.default_rng(seed)
+    if spacing == "uniform":
+        dx = np.full(n - 1, rng.uniform(0.1, 10.0))
+    elif spacing == "irregular":
+        dx = np.exp(rng.uniform(-5.0, 5.0, n - 1))
+    else:
+        # every second step more than doubles its predecessor, so LAPACK's
+        # dgtsv swaps rows, starting with row 0 (dx[1] > 2 * dx[0])
+        dx = rng.uniform(0.5, 1.0, n - 1)
+        dx[1::2] *= rng.uniform(4.5, 40.0, len(dx[1::2]))
+    x = rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], np.cumsum(dx)])
+    y = rng.standard_normal(n) * 10.0 ** exponent
+    if zeros:
+        y[rng.integers(0, n, 2)] = [0.0, -0.0]
+    span = x[-1] - x[0]
+    # the knots themselves, points between them and points outside them
+    xs = np.concatenate([x, rng.uniform(x[0] - span, x[-1] + span, 64)])
+    got = natural_spline(x, y, xs)
+    want = CubicSpline(x, y, bc_type="natural")(xs)
+    # int64 views tell 0.0 from -0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_natural_spline_sums_from_positive_zero_as_scipy_does():
+    # at the first knot every term is a signed zero and the knot value is
+    # -0.0; scipy's power sum starts from 0.0, so the spline gives 0.0 there
+    x = np.array([0.0, 1.0, 4.0, 5.0])
+    y = np.array([-0.0, -1.0, -3.0, -1.0])
+    got = natural_spline(x, y, x)
+    want = CubicSpline(x, y, bc_type="natural")(x)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert math.copysign(1.0, got[0]) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,59 @@ def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+PATH_OPTIONS_BY_VERB = {
+    "gen-gait": ["--model-bank", "--out"],
+    "ca-predict": ["--out"],
+    "ingest": ["--in", "--out"],
+    "features": ["--in", "--out"],
+    "classify": ["--train", "--test", "--out"],
+    "cv": ["--data", "--out"],
+    "push": ["--out"],
+    "plot-data": ["--model-bank", "--out-dir"],
+    "simulate-block": ["--out"],
+}
+
+
+@pytest.mark.parametrize("verb, option", [
+    (verb, option) for verb, options in PATH_OPTIONS_BY_VERB.items() for option in options
+])
+def test_empty_path_exits_2_before_any_io(verb, option, tmp_path, capsys, monkeypatch):
+    write_bad_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = [verb] + BASELINES[verb]
+    if option in argv:
+        del argv[argv.index(option):argv.index(option) + 2]
+    assert run(argv + [f"{option}="]) == 2
+    assert capsys.readouterr().err == f"error: {option}: empty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["ingest", "--in", "never.csv", "--out", "a.csv", "--knot-stride", "0"], "--knot-stride"),
+    (["ingest", "--in", "never.csv", "--out", "a.csv", "--knot-stride", "-1",
+      "--smooth", "moving-average"], "--knot-stride"),
+    (["classify", "--train", "never.csv", "--test", "never.csv", "--out", "m.json",
+      "--method", "mlp", "--k", "-1"], "--k"),
+    (["cv", "--method", "mlp", "--k", "0", "--out", "cv.json"], "--k"),
+    (["cv", "--method", "knn", "--baseline", "mlp", "--k", "0"], "--k"),
+    (["cv", "--data", "never.csv", "--method", "knn", "--epochs", "0"], "--epochs"),
+    (["classify", "--train", "never.csv", "--test", "never.csv", "--out", "m.json",
+      "--eta", "nan"], "--eta"),
+    (["cv", "--method", "knn", "--layers", "6,0,4"], "--layers"),
+    (["cv", "--method", "knn", "--layers="], "--layers"),
+    (["classify", "--train", "never.csv", "--test", "never.csv", "--out", "m.json",
+      "--seed", "-1"], "--seed"),
+])
+def test_option_a_method_ignores_is_still_checked_before_reading(
+        argv, option, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
     from gaitforge import rocking_block
 
@@ -291,6 +344,10 @@ def test_hostile_argument_value_exits_0_or_2(verb, hostile_dir, data):
         os.chdir(cwd)
     assert rc in (0, 2), argv
     assert "Traceback" not in err.getvalue()
+    if value == "" and option in PATH_OPTIONS_BY_VERB[verb]:
+        # an empty path is an error, not an absent option
+        assert rc == 2, argv
+        assert err.getvalue() == f"error: {option}: empty path\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Import contract of the command line: each verb loads only the heavy
-libraries it runs. numpy and scipy cost most of a CLI call's start-up, so a
-stray top-level import would slow every verb without failing anything else.
+libraries it runs, and none needs scipy. numpy costs most of a CLI call's
+start-up and scipy far more, so a stray import would slow every verb without
+failing anything else.
 
 Every case runs in a fresh interpreter, since this test process has long
-since imported both. No timings are compared.
+since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
+before it imports the CLI, so any scipy import in a verb fails the case, as
+it would on an install without scipy. No timings are compared.
 """
 
 import json
@@ -18,10 +21,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = """
 import json, sys
+sys.modules["scipy"] = None
 from gaitforge import cli
 argv = json.loads(sys.argv[1])
 rc = cli.main(argv) if argv else 0
-print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy") if m in sys.modules]}))
+print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy")
+                                       if sys.modules.get(m) is not None]}))
 """
 
 
@@ -44,6 +49,9 @@ def write_inputs(base: Path) -> None:
                               for label, c in (("a", 0.0), ("b", 8.0)) for i in range(4)]
     for name in ("train.csv", "test.csv"):
         (base / name).write_text("\n".join(rows) + "\n")
+    rows = ["t,theta1_deg,theta2_deg"] + [f"{i * 0.01:.2f},{(i * 7) % 11:.6f},{(i * 5) % 9:.6f}"
+                                          for i in range(40)]
+    (base / "angles.csv").write_text("\n".join(rows) + "\n")
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_scipy(tmp_path):
@@ -64,6 +72,12 @@ def test_verb_runs_without_numpy(argv, tmp_path):
     ["ingest", "--in", "acc.csv", "--out", "angles.csv", "--ik", "alg1"],
     ["classify", "--train", "train.csv", "--test", "test.csv", "--method", "knn",
      "--out", "metrics.json"],
+    ["ingest", "--in", "acc.csv", "--out", "angles.csv", "--ik", "exact",
+     "--smooth", "spline", "--knot-stride", "3"],
+    ["features", "--in", "angles.csv", "--out", "features.csv"],
+    ["plot-data", "--tc", "0.01", "--out-dir", "plots"],
+    # fold accuracies that differ, so the ANOVA computes a p-value
+    ["cv", "--method", "mlp", "--epochs", "2", "--baseline", "knn", "--out", "cv.json"],
 ])
 def test_verb_runs_without_scipy(argv, tmp_path):
     write_inputs(tmp_path)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gaitforge.learn import (
     AnovaResult,
@@ -15,6 +16,7 @@ from gaitforge.learn import (
     biometric_metrics,
     confusion_and_accuracy,
     cv_aggregate,
+    f_survival,
     kfold_cv,
     kfold_indices,
     kmeans,
@@ -369,6 +371,18 @@ def test_two_group_f_equals_pooled_t_squared():
     sp2 = ((n1 - 1) * np.var(g1, ddof=1) + (n2 - 1) * np.var(g2, ddof=1)) / (n1 + n2 - 2)
     t = (m1 - m2) / math.sqrt(sp2 * (1 / n1 + 1 / n2))
     assert res.f == pytest.approx(t * t, rel=1e-12)
+
+
+@pytest.mark.parametrize("d1", range(1, 6))
+def test_f_survival_matches_scipy_fdtrc(d1):
+    # F from 1e-6 to 1e6: survivals from just below 1 down to about 1e-170
+    fs = np.geomspace(1e-6, 1e6, 97)
+    for d2 in range(2, 60):
+        want = special.fdtrc(d1, d2, fs)
+        got = np.array([f_survival(d1, d2, float(f)) for f in fs])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), d2
+        assert f_survival(d1, d2, 0.0) == 1.0 == special.fdtrc(d1, d2, 0.0)
+        assert f_survival(d1, d2, math.inf) == 0.0 == special.fdtrc(d1, d2, math.inf)
 
 
 def test_anova_preconditions():
