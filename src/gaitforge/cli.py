@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -261,6 +262,17 @@ def _make_trainer(args, method: str):
     return learn.mlp_trainer(layers, eta=args.eta, epochs=args.epochs, seed=args.seed)
 
 
+@contextmanager
+def _weight_limit():
+    """Report the MLP weight limit as a fault of ``--layers``."""
+    from . import learn
+
+    try:
+        yield
+    except learn.WeightLimitError as exc:
+        raise InputError(f"--layers: {exc}") from exc
+
+
 def cmd_classify(args) -> int:
     import numpy as np
 
@@ -277,7 +289,8 @@ def cmd_classify(args) -> int:
         except KeyError as exc:
             raise InputError(f"test set has unknown class {exc}") from exc
         test = learn.Dataset(test.features, relabeled, train.class_names)
-    predict = trainer(train)
+    with _weight_limit():
+        predict = trainer(train)
     preds = predict(test.features)
     cm, per_class, error = learn.confusion_and_accuracy(
         preds, test.labels, train.n_classes
@@ -291,12 +304,17 @@ def cmd_classify(args) -> int:
 def cmd_cv(args) -> int:
     from . import learn
 
+    if args.folds < 2:
+        raise InputError(f"--folds: must be >= 2, got {args.folds}")
     trainer = _make_trainer(args, args.method)
     base_trainer = _make_trainer(args, args.baseline) if args.baseline else None
     data = _load_dataset(args.data) if args.data is not None else learn.Dataset.from_csv(
         fixture_path("synthetic_gait_features.csv")
     )
-    result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
+    with _weight_limit():
+        result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
+        baseline = (None if base_trainer is None else
+                    learn.kfold_cv(data, base_trainer, folds=args.folds, seed=args.seed))
     report = {
         "folds": args.folds,
         "method": args.method,
@@ -305,8 +323,7 @@ def cmd_cv(args) -> int:
         "variance": result.variance,
         "sigma": result.sigma,
     }
-    if base_trainer is not None:
-        baseline = learn.kfold_cv(data, base_trainer, folds=args.folds, seed=args.seed)
+    if baseline is not None:
         anova = learn.anova_single_factor(
             [result.fold_accuracies, baseline.fold_accuracies]
         )

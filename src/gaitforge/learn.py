@@ -146,6 +146,15 @@ def kmeans_sse(data, centroids, assignments) -> float:
 # MLP with per-sample backpropagation
 # ---------------------------------------------------------------------------
 
+# Weights and thresholds of all the networks one training loop holds at once
+# (80 MB of float64). Lockstep training keeps k networks, so k counts.
+MAX_WEIGHTS = 10_000_000
+
+
+class WeightLimitError(ValueError):
+    """The networks trained at once would hold more than MAX_WEIGHTS numbers."""
+
+
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -170,11 +179,37 @@ def mlp_init(layers: Sequence[int], seed: int = 42) -> MlpModel:
     return MlpModel(layers=layers, weights=weights, biases=biases)
 
 
-def _forward(model: MlpModel, x: np.ndarray) -> list[np.ndarray]:
-    activations = [np.asarray(x, dtype=float)]
-    for w, b in zip(model.weights, model.biases):
-        activations.append(_sigmoid(activations[-1] @ w + b))
+# The stacked functions below run k networks side by side: weights[l] is
+# (k, a, b), biases[l] is (k, b), and an input or target row per network is
+# (k, a). np.matmul of a (1, a) row by an (a, b) matrix, or of a matrix by a
+# (b, 1) column, takes the same BLAS gemv call as the 1-d product, and every
+# other step is elementwise, so each network's numbers are bit for bit those
+# it would get alone. (np.einsum sums in another order and is not.)
+
+def _forward(weights, biases, x) -> list[np.ndarray]:
+    activations = [x]
+    for w, b in zip(weights, biases):
+        activations.append(_sigmoid(np.matmul(activations[-1][:, None, :], w)[:, 0] + b))
     return activations
+
+
+def _gradients(weights, biases, x, target) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    acts = _forward(weights, biases, x)
+    # a * (1 - a) is the sigmoid's slope at activation a; regrouping the
+    # product changes its rounding and so the trained weights
+    delta = (acts[-1] - target) * (acts[-1] * (1.0 - acts[-1]))
+    grads_w: list[np.ndarray] = [None] * len(weights)
+    grads_b: list[np.ndarray] = [None] * len(biases)
+    for l in range(len(weights) - 1, -1, -1):
+        grads_w[l] = acts[l][:, :, None] * delta[:, None, :]
+        grads_b[l] = delta
+        if l > 0:
+            delta = np.matmul(weights[l], delta[:, :, None])[:, :, 0] * (acts[l] * (1.0 - acts[l]))
+    return grads_w, grads_b
+
+
+def _stacked(model: MlpModel):
+    return [w[None] for w in model.weights], [b[None] for b in model.biases]
 
 
 def mlp_predict(model: MlpModel, x) -> np.ndarray:
@@ -182,65 +217,104 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.layers[0],):
         raise ValueError(f"expected input of size {model.layers[0]}, got {x.shape}")
-    return _forward(model, x)[-1]
+    return _forward(*_stacked(model), x[None])[-1][0]
 
 
 def mlp_gradients(model: MlpModel, x, target) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the squared-error cost 0.5*||out - target||^2 for one
-    sample, layer by layer."""
-    acts = _forward(model, np.asarray(x, dtype=float))
-    target = np.asarray(target, dtype=float)
-    # a * (1 - a) is the sigmoid's slope at activation a; regrouping the
-    # product changes its rounding and so the trained weights
-    delta = (acts[-1] - target) * (acts[-1] * (1.0 - acts[-1]))
-    grads_w: list[np.ndarray] = [None] * len(model.weights)
-    grads_b: list[np.ndarray] = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = np.outer(acts[l], delta)
-        grads_b[l] = delta.copy()
-        if l > 0:
-            delta = (model.weights[l] @ delta) * (acts[l] * (1.0 - acts[l]))
-    return grads_w, grads_b
+    sample, layer by layer: the one-network slice of the gradient that
+    training uses."""
+    x = np.asarray(x, dtype=float)[None]
+    target = np.asarray(target, dtype=float)[None]
+    grads_w, grads_b = _gradients(*_stacked(model), x, target)
+    return [g[0] for g in grads_w], [g[0] for g in grads_b]
 
 
-def mlp_train_raw(inputs, targets, layers: Sequence[int], eta: float,
-                  epochs: int, seed: int = 42) -> MlpModel:
-    """Per-sample gradient descent on raw (input, target) pairs.
+def mlp_train_lockstep(inputs: Sequence, targets: Sequence, layers: Sequence[int],
+                       eta: float, epochs: int, seed: int = 42) -> list[MlpModel]:
+    """Per-sample gradient descent of k networks at once, network f on the
+    (input, target) pairs ``inputs[f]``, ``targets[f]``.
 
-    Weights and thresholds move against the gradient after every sample, in
-    data order, for ``epochs`` passes. Deterministic for a fixed seed.
+    Every network starts from ``mlp_init(layers, seed)``. Its weights and
+    thresholds move against the gradient after every sample, in data order,
+    for ``epochs`` passes; a network with fewer samples sits out the last
+    steps of each pass. Each network ends bit for bit where training it
+    alone would, so k fold models cost about one loop, not k.
     """
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"learning rate must be finite and positive, got {eta}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    x = np.asarray(inputs, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
-        raise ValueError("inputs and targets must be matching 2-d arrays")
+    if len(inputs) != len(targets):
+        raise ValueError("need one target set per input set")
+    xs = [np.asarray(x, dtype=float) for x in inputs]
+    ys = [np.asarray(y, dtype=float) for y in targets]
+    for x, y in zip(xs, ys):
+        if x.ndim != 2 or y.ndim != 2 or len(x) != len(y):
+            raise ValueError("inputs and targets must be matching 2-d arrays")
     layers = tuple(int(n) for n in layers)
     if min(layers) < 1:
         raise ValueError(f"layer sizes must be >= 1, got {layers}")
-    if x.shape[1] != layers[0] or y.shape[1] != layers[-1]:
-        raise ValueError("layer sizes do not match the data dimensions")
-    model = mlp_init(layers, seed=seed)
-    for _ in range(epochs):
-        for xi, yi in zip(x, y):
-            gw, gb = mlp_gradients(model, xi, yi)
-            for l in range(len(model.weights)):
-                model.weights[l] -= eta * gw[l]
-                model.biases[l] -= eta * gb[l]
-    return model
+    for x, y in zip(xs, ys):
+        if x.shape[1] != layers[0] or y.shape[1] != layers[-1]:
+            raise ValueError("layer sizes do not match the data dimensions")
+    k = len(xs)
+    count = k * sum(a * b + b for a, b in zip(layers, layers[1:]))
+    if count > MAX_WEIGHTS:
+        sizes = ",".join(str(n) for n in layers)
+        raise WeightLimitError(f"{k} x ({sizes}) networks need {count} weights and "
+                               f"thresholds, over the limit of {MAX_WEIGHTS}")
+
+    # longest sets first, so the networks that still have a sample at step
+    # i are the first live[i]: a view of the stacks, updated in place
+    order = sorted(range(k), key=lambda f: -len(xs[f]))
+    sizes = [len(xs[f]) for f in order]
+    x = np.zeros((max(sizes, default=0), k, layers[0]))
+    y = np.zeros((len(x), k, layers[-1]))
+    for j, f in enumerate(order):
+        x[:sizes[j], j] = xs[f]
+        y[:sizes[j], j] = ys[f]
+    live = np.searchsorted(-np.array(sizes), -np.arange(len(x))).tolist()
+    init = mlp_init(layers, seed=seed)
+    weights = [np.repeat(w[None], k, axis=0) for w in init.weights]
+    biases = [np.repeat(b[None], k, axis=0) for b in init.biases]
+    views = {m: ([w[:m] for w in weights], [b[:m] for b in biases]) for m in set(live)}
+    # exp(-z) overflows to inf for z below about -709, where the sigmoid is
+    # 0.0 with or without the warning
+    with np.errstate(over="ignore"):
+        for _ in range(epochs):
+            for i, m in enumerate(live):
+                ws, bs = views[m]
+                gw, gb = _gradients(ws, bs, x[i, :m], y[i, :m])
+                for l in range(len(ws)):
+                    ws[l] -= eta * gw[l]
+                    bs[l] -= eta * gb[l]
+    models: list[MlpModel] = [None] * k
+    for j, f in enumerate(order):
+        models[f] = MlpModel(layers, [w[j].copy() for w in weights],
+                             [b[j].copy() for b in biases])
+    return models
+
+
+def mlp_train_raw(inputs, targets, layers: Sequence[int], eta: float,
+                  epochs: int, seed: int = 42) -> MlpModel:
+    """Per-sample gradient descent on raw (input, target) pairs: the
+    one-network case of :func:`mlp_train_lockstep`. Deterministic for a
+    fixed seed."""
+    return mlp_train_lockstep([inputs], [targets], layers, eta, epochs, seed=seed)[0]
+
+
+def _one_hot(data: Dataset, layers: tuple[int, ...]) -> np.ndarray:
+    if layers[-1] != data.n_classes:
+        raise ValueError("output layer size must equal the number of classes")
+    return np.eye(data.n_classes)[data.labels]
 
 
 def mlp_train(data: Dataset, layers: Sequence[int], eta: float, epochs: int,
               seed: int = 42) -> MlpModel:
     """Train on a labeled dataset with one-hot targets."""
     layers = tuple(int(n) for n in layers)
-    if layers[-1] != data.n_classes:
-        raise ValueError("output layer size must equal the number of classes")
-    targets = np.eye(data.n_classes)[data.labels]
-    return mlp_train_raw(data.features, targets, layers, eta, epochs, seed=seed)
+    return mlp_train_raw(data.features, _one_hot(data, layers), layers, eta, epochs, seed=seed)
 
 
 def mlp_classify(model: MlpModel, x) -> int:
@@ -279,18 +353,25 @@ def kfold_indices(labels, folds: int, seed: int = 42) -> list[np.ndarray]:
     """Stratified fold assignment: per class, a seeded shuffle dealt
     round-robin into folds, so every sample is tested exactly once."""
     labels = np.asarray(labels)
+    classes, counts = np.unique(labels, return_counts=True)
+    # before any per-fold list exists, so a huge fold count costs nothing
+    small = np.nonzero(counts < folds)[0]
+    if small.size:
+        cls, count = classes[small[0]], counts[small[0]]
+        raise StratificationError(f"class {cls} has {count} members; needs >= {folds}")
     rng = np.random.default_rng(seed)
     fold_members: list[list[int]] = [[] for _ in range(folds)]
-    for cls in np.unique(labels):
+    for cls in classes:
         idx = np.nonzero(labels == cls)[0]
-        if len(idx) < folds:
-            raise StratificationError(
-                f"class {cls} has {len(idx)} members; needs >= {folds}"
-            )
         rng.shuffle(idx)
         for pos, i in enumerate(idx):
             fold_members[pos % folds].append(int(i))
     return [np.array(sorted(m)) for m in fold_members]
+
+
+# Most fold models kfold_cv trains in one lockstep loop: each holds its own
+# copy of the training rows, so this bounds that memory at this many copies.
+LOCKSTEP_FOLDS = 10
 
 
 def kfold_cv(data: Dataset, trainer: Callable[[Dataset], Callable], folds: int = 5,
@@ -298,18 +379,29 @@ def kfold_cv(data: Dataset, trainer: Callable[[Dataset], Callable], folds: int =
     """k-fold cross-validation of a trainer.
 
     ``trainer(train_set)`` must return a predictor mapping a feature matrix
-    to integer labels. Accuracies are percentages per fold; the aggregate
-    uses the n-1 variance.
+    to integer labels. A trainer with a ``fit_folds(train_sets)`` attribute,
+    which returns one predictor per set, gets up to LOCKSTEP_FOLDS training
+    sets per call instead. Accuracies are percentages per fold; the
+    aggregate uses the n-1 variance.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
     test_folds = kfold_indices(data.labels, folds, seed=seed)
-    accuracies = []
     all_idx = np.arange(len(data))
-    for test_idx in test_folds:
+
+    def train_set(test_idx):
         train_mask = np.ones(len(data), dtype=bool)
         train_mask[test_idx] = False
-        predict = trainer(data.subset(all_idx[train_mask]))
+        return data.subset(all_idx[train_mask])
+
+    fit_folds = getattr(trainer, "fit_folds", None)
+    if fit_folds is None:
+        predictors = (trainer(train_set(t)) for t in test_folds)
+    else:
+        groups = [test_folds[g:g + LOCKSTEP_FOLDS] for g in range(0, folds, LOCKSTEP_FOLDS)]
+        predictors = (p for group in groups for p in fit_folds([train_set(t) for t in group]))
+    accuracies = []
+    for test_idx, predict in zip(test_folds, predictors):
         preds = np.asarray(predict(data.features[test_idx]))
         acc = 100.0 * float(np.mean(preds == data.labels[test_idx]))
         accuracies.append(acc)
@@ -327,12 +419,28 @@ def knn_trainer(k: int) -> Callable[[Dataset], Callable]:
 
 def mlp_trainer(layers: Sequence[int] | None, eta: float, epochs: int,
                 seed: int = 42) -> Callable[[Dataset], Callable]:
-    def trainer(train: Dataset):
-        arch = layers or (train.features.shape[1], 8, train.n_classes)
-        model = mlp_train(train, arch, eta, epochs, seed=seed)
+    """A trainer for :func:`kfold_cv`. Without ``layers`` the network is
+    (features, 8, classes). Its ``fit_folds`` attribute trains the models of
+    several training sets in one :func:`mlp_train_lockstep` loop."""
+    def predictor(model: MlpModel):
         def predict(features):
-            return np.array([mlp_classify(model, row) for row in np.atleast_2d(features)])
+            with np.errstate(over="ignore"):   # as in training
+                return np.array([mlp_classify(model, row) for row in np.atleast_2d(features)])
         return predict
+
+    def fit_folds(train_sets: Sequence[Dataset]) -> list[Callable]:
+        first = train_sets[0]
+        arch = tuple(int(n) for n in layers or (first.features.shape[1], 8, first.n_classes))
+        models = mlp_train_lockstep([t.features for t in train_sets],
+                                    [_one_hot(t, arch) for t in train_sets],
+                                    arch, eta, epochs, seed=seed)
+        return [predictor(model) for model in models]
+
+    def trainer(train: Dataset):
+        return fit_folds([train])[0]
+
+    # a function attribute, so that functools.wraps copies it onto wrappers
+    trainer.fit_folds = fit_folds
     return trainer
 
 

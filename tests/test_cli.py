@@ -4,7 +4,10 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +263,7 @@ def test_empty_path_exits_2_before_any_io(verb, option, tmp_path, capsys, monkey
     (["cv", "--method", "knn", "--layers="], "--layers"),
     (["classify", "--train", "never.csv", "--test", "never.csv", "--out", "m.json",
       "--seed", "-1"], "--seed"),
+    (["cv", "--data", "never.csv", "--method", "knn", "--folds", "1"], "--folds"),
 ])
 def test_option_a_method_ignores_is_still_checked_before_reading(
         argv, option, tmp_path, capsys, monkeypatch):
@@ -462,6 +466,41 @@ def test_cv_with_baseline_anova(tmp_path):
     doc = json.loads(out.read_text())
     assert "anova" in doc
     assert set(doc["anova"]) >= {"F", "p", "ss_between", "ss_within"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--method", "mlp", "--layers", "6,1000000,4", "--epochs", "1", "--folds", "2"],
+    ["cv", "--method", "knn", "--baseline", "mlp", "--layers", "6,500000,4", "--folds", "2"],
+    ["classify", "--train", "{data}", "--test", "{data}", "--out", "m.json",
+     "--method", "mlp", "--layers", "6,1000000,4"],
+])
+def test_mlp_over_the_weight_limit_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = fixture_path("synthetic_gait_features.csv")
+    assert run([a.format(data=data) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --layers: ") and err.count("\n") == 1
+    assert "over the limit of 10000000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cv_on_a_saturating_column_prints_no_warning(tmp_path):
+    # a log-energy column near 800 overflows the sigmoid's exp; the verb runs
+    # in its own interpreter so that any warning reaches its real stderr
+    rows = ["f0,f1,f2,energy,label"] + [
+        f"{i % 2 + 0.1 * i:.6f},{i % 2:.6f},{0.5 * (i % 2):.6f},{800 + i:.6f},{'ab'[i % 2]}"
+        for i in range(20)]
+    (tmp_path / "loge.csv").write_text("\n".join(rows) + "\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "gaitforge.cli", "cv", "--data", "loge.csv", "--method", "mlp",
+         "--epochs", "2", "--folds", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("fold accuracies: ")
 
 
 def test_classify_metrics_report(tmp_path):

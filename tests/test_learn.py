@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import special
 
 from gaitforge.learn import (
+    LOCKSTEP_FOLDS,
+    MAX_WEIGHTS,
     AnovaResult,
     ConfusionMatrix,
     Dataset,
     StratificationError,
     UndefinedClassError,
+    WeightLimitError,
     accuracy_from_counts,
     anova_from_summary,
     anova_single_factor,
@@ -28,6 +32,7 @@ from gaitforge.learn import (
     mlp_init,
     mlp_predict,
     mlp_train,
+    mlp_train_lockstep,
     mlp_train_raw,
     mlp_trainer,
     truncate_percent,
@@ -217,6 +222,80 @@ def test_dataset_training_and_dimension_checks():
         mlp_predict(model, np.zeros(5))
 
 
+def reference_train(inputs, targets, layers, eta, epochs, seed):
+    """Per-sample backpropagation of one network with 1-d products, the
+    loop lockstep training must reproduce bit for bit."""
+    model = mlp_init(layers, seed=seed)
+    for _ in range(epochs):
+        for x, y in zip(inputs, targets):
+            acts = [x]
+            for w, b in zip(model.weights, model.biases):
+                acts.append(1.0 / (1.0 + np.exp(-(acts[-1] @ w + b))))
+            delta = (acts[-1] - y) * (acts[-1] * (1.0 - acts[-1]))
+            grads = []
+            for l in range(len(model.weights) - 1, -1, -1):
+                grads.append((l, np.outer(acts[l], delta), delta))
+                if l > 0:
+                    delta = (model.weights[l] @ delta) * (acts[l] * (1.0 - acts[l]))
+            for l, gw, gb in grads:
+                model.weights[l] -= eta * gw
+                model.biases[l] -= eta * gb
+    return model
+
+
+def same_bits(a, b) -> bool:
+    return all(np.array_equal(u.view(np.int64), v.view(np.int64))
+               for u, v in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+@pytest.mark.parametrize("sizes", [(160, 160), (161, 159), (160,) * 5,
+                                   (159, 161, 160, 161, 159)])
+@pytest.mark.parametrize("hidden", [(8,), (5, 3)])
+def test_lockstep_training_equals_one_network_at_a_time(sizes, hidden):
+    rng = np.random.default_rng(len(sizes) + sum(sizes) + len(hidden))
+    inputs = [rng.normal(0.0, 1.5, (n, 6)) for n in sizes]
+    targets = [np.eye(4)[rng.integers(0, 4, n)] for n in sizes]
+    layers = (6, *hidden, 4)
+    models = mlp_train_lockstep(inputs, targets, layers, eta=0.5, epochs=6, seed=11)
+    assert len(models) == len(sizes)
+    for model, x, y in zip(models, inputs, targets):
+        assert same_bits(model, reference_train(x, y, layers, 0.5, 6, seed=11))
+
+
+def test_one_network_training_equals_the_reference_loop():
+    model = mlp_train_raw(XOR_X, XOR_Y, (2, 4, 1), eta=0.5, epochs=300, seed=0)
+    assert same_bits(model, reference_train(XOR_X, XOR_Y, (2, 4, 1), 0.5, 300, seed=0))
+
+
+def test_weight_limit_is_checked_before_any_weight_exists():
+    assert MAX_WEIGHTS == 10_000_000
+    x, y = np.zeros((2, 6)), np.zeros((2, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightLimitError, match=r"1 x \(6,1000000,4\) networks need 11000004"):
+            mlp_train_raw(x, y, (6, 1_000_000, 4), eta=0.5, epochs=1)
+        # one (6,500000,4) network holds 5,500,004 numbers; two in lockstep are too many
+        with pytest.raises(WeightLimitError, match=r"2 x \(6,500000,4\) networks need 11000008"):
+            mlp_train_lockstep([x, x], [y, y], (6, 500_000, 4), eta=0.5, epochs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_saturated_sigmoid_trains_and_predicts_without_warnings():
+    # a log-energy column near 800 drives exp(-z) past the float range, where
+    # the activation is exactly 0.0; no RuntimeWarning may escape
+    rng = np.random.default_rng(5)
+    feats = np.column_stack([rng.normal(size=20), 800.0 + rng.normal(size=20)])
+    data = Dataset(feats, np.arange(20) % 2, ("a", "b"))
+    init = mlp_init((2, 4, 2), seed=5)
+    assert np.any(feats @ init.weights[0] + init.biases[0] < -710.0)
+    trainer = mlp_trainer((2, 4, 2), eta=0.5, epochs=3, seed=5)
+    assert len(kfold_cv(data, trainer, folds=2, seed=1).fold_accuracies) == 2
+    assert trainer(data)(feats).shape == (20,)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 # ---------------------------------------------------------------------------
@@ -256,6 +335,35 @@ def test_mlp_trainer_in_cv_runs():
     data = two_blobs(n_per=10, seed=8)
     result = kfold_cv(data, mlp_trainer((2, 4, 2), eta=0.5, epochs=60), folds=2, seed=4)
     assert len(result.fold_accuracies) == 2
+
+
+@pytest.mark.parametrize("folds", [5, LOCKSTEP_FOLDS + 3])
+def test_lockstep_cv_equals_fold_by_fold_cv(folds):
+    data = two_blobs(n_per=16, seed=9)
+    data.features[::3] *= -1.0   # overlap the blobs so folds score differently
+    trainer = mlp_trainer(None, eta=0.5, epochs=8, seed=2)
+    calls = []
+
+    def one_fold(train):   # no fit_folds attribute: the per-fold path
+        calls.append(len(train))
+        return trainer(train)
+
+    lockstep = kfold_cv(data, trainer, folds=folds, seed=6)
+    fold_by_fold = kfold_cv(data, one_fold, folds=folds, seed=6)
+    assert len(calls) == folds
+    assert lockstep == fold_by_fold
+
+
+def test_huge_fold_count_fails_before_allocating_folds():
+    data = two_blobs(n_per=10, seed=8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StratificationError, match="class 0 has 10 members; needs >= 2000000"):
+            kfold_cv(data, knn_trainer(1), folds=2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # ---------------------------------------------------------------------------
