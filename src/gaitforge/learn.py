@@ -156,6 +156,8 @@ class WeightLimitError(ValueError):
 
 
 def _sigmoid(z):
+    # exp(-z) overflows to inf for z below about -709, where the sigmoid is
+    # 0.0 with or without the warning; its callers enter np.errstate(over="ignore")
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -217,7 +219,8 @@ def mlp_predict(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (model.layers[0],):
         raise ValueError(f"expected input of size {model.layers[0]}, got {x.shape}")
-    return _forward(*_stacked(model), x[None])[-1][0]
+    with np.errstate(over="ignore"):
+        return _forward(*_stacked(model), x[None])[-1][0]
 
 
 def mlp_gradients(model: MlpModel, x, target) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -226,7 +229,8 @@ def mlp_gradients(model: MlpModel, x, target) -> tuple[list[np.ndarray], list[np
     training uses."""
     x = np.asarray(x, dtype=float)[None]
     target = np.asarray(target, dtype=float)[None]
-    grads_w, grads_b = _gradients(*_stacked(model), x, target)
+    with np.errstate(over="ignore"):
+        grads_w, grads_b = _gradients(*_stacked(model), x, target)
     return [g[0] for g in grads_w], [g[0] for g in grads_b]
 
 
@@ -279,9 +283,7 @@ def mlp_train_lockstep(inputs: Sequence, targets: Sequence, layers: Sequence[int
     weights = [np.repeat(w[None], k, axis=0) for w in init.weights]
     biases = [np.repeat(b[None], k, axis=0) for b in init.biases]
     views = {m: ([w[:m] for w in weights], [b[:m] for b in biases]) for m in set(live)}
-    # exp(-z) overflows to inf for z below about -709, where the sigmoid is
-    # 0.0 with or without the warning
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):   # see _sigmoid
         for _ in range(epochs):
             for i, m in enumerate(live):
                 ws, bs = views[m]
@@ -424,8 +426,7 @@ def mlp_trainer(layers: Sequence[int] | None, eta: float, epochs: int,
     several training sets in one :func:`mlp_train_lockstep` loop."""
     def predictor(model: MlpModel):
         def predict(features):
-            with np.errstate(over="ignore"):   # as in training
-                return np.array([mlp_classify(model, row) for row in np.atleast_2d(features)])
+            return np.array([mlp_classify(model, row) for row in np.atleast_2d(features)])
         return predict
 
     def fit_folds(train_sets: Sequence[Dataset]) -> list[Callable]:

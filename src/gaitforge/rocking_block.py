@@ -17,8 +17,11 @@ genuinely rocks.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite, sin
 
 from .tables import write_rows
 
@@ -67,16 +70,55 @@ class ImpactEvent:
     post_velocity: float
 
 
+_MODES = (Mode.LEFT, Mode.RIGHT)  # a trace's mode column holds the index
+
+
+class BlockStates(Sequence):
+    """Read-only sequence over a trace's states. Each BlockState is built
+    when it is read, so len() and indexing cost O(1); equal to any sequence
+    holding the same states in the same order."""
+
+    def __init__(self, trace: BlockTrace):
+        self._columns = (trace.mode, trace.x1, trace.x2, trace.t)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        mode, x1, x2, t = (c[i] for c in self._columns)
+        return BlockState(_MODES[mode], x1, x2, t)
+
+    def __iter__(self):
+        for mode, x1, x2, t in zip(*self._columns):
+            yield BlockState(_MODES[mode], x1, x2, t)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class BlockTrace:
-    states: list[BlockState]
+    """Every recorded state as columns: time, mode index into ``_MODES``,
+    ``x1`` and ``x2``; :attr:`states` reads them as BlockStates."""
+    t: array
+    mode: bytearray
+    x1: array
+    x2: array
     impacts: list[ImpactEvent]
     status: str = "completed"  # or "at_rest"
 
+    @property
+    def states(self) -> BlockStates:
+        return BlockStates(self)
+
     def write_csv(self, path) -> None:
         impact_times = {e.t for e in self.impacts}
+        names = [m.value for m in _MODES]
         write_rows(path, "t,mode,x1,x2,event", "%.6f,%s,%.6f,%.6f,%d",
-                   ((s.t, s.mode.value, s.x1, s.x2, s.t in impact_times) for s in self.states))
+                   ((t, names[mode], x1, x2, t in impact_times)
+                    for t, mode, x1, x2 in zip(self.t, self.mode, self.x1, self.x2)))
 
 
 def flow(mode: Mode, x1: float, x2: float, alpha: float,
@@ -105,22 +147,37 @@ def energy(state: BlockState, params: BlockParams) -> float:
     )
 
 
-def _rk4(mode: Mode, x1: float, x2: float, h: float,
-         params: BlockParams) -> tuple[float, float]:
-    a, rs = params.alpha, params.restoring_sign
-    k1 = flow(mode, x1, x2, a, rs)
-    k2 = flow(mode, x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], a, rs)
-    k3 = flow(mode, x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], a, rs)
-    k4 = flow(mode, x1 + h * k3[0], x2 + h * k3[1], a, rs)
-    nx1 = x1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    nx2 = x2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return nx1, nx2
+def _rk4(left: bool, x1: float, x2: float, h: float, alpha: float,
+         restoring: bool) -> tuple[float, float]:
+    """One classical RK4 step of size ``h`` over :func:`flow`, inlined.
+
+    Each stage evaluates ``x + 0.5 * h * k`` and then flow's
+    ``sin(alpha * (1.0 + s * x1)) / c`` in flow's order, so the result is
+    bit for bit that of RK4 composed from :func:`flow`: ``s * x1`` with
+    ``s = -1.0`` and a divisor ``c = -alpha`` are exact negations, which
+    give the right mode's ``1.0 - x1`` and the restoring flip after the
+    division.
+    """
+    s = 1.0 if left else -1.0
+    c = -alpha if restoring and not left else alpha
+    hh = 0.5 * h
+    a1 = sin(alpha * (1.0 + s * x1)) / c
+    v2 = x2 + hh * a1
+    a2 = sin(alpha * (1.0 + s * (x1 + hh * x2))) / c
+    v3 = x2 + hh * a2
+    a3 = sin(alpha * (1.0 + s * (x1 + hh * v2))) / c
+    v4 = x2 + h * a3
+    a4 = sin(alpha * (1.0 + s * (x1 + h * v3))) / c
+    w = h / 6.0
+    return (x1 + w * (x2 + 2.0 * v2 + 2.0 * v3 + v4),
+            x2 + w * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
 
 
 def step(state: BlockState, params: BlockParams) -> BlockState:
     """Advance one RK4 step of ``params.dt``; the mode never changes here."""
-    nx1, nx2 = _rk4(state.mode, state.x1, state.x2, params.dt, params)
-    if not (math.isfinite(nx1) and math.isfinite(nx2)):
+    nx1, nx2 = _rk4(state.mode == Mode.LEFT, state.x1, state.x2, params.dt,
+                    params.alpha, params.restoring_sign)
+    if not (isfinite(nx1) and isfinite(nx2)):
         raise DivergenceError(f"non-finite state at t={state.t + params.dt}")
     return BlockState(mode=state.mode, x1=nx1, x2=nx2, t=state.t + params.dt)
 
@@ -128,32 +185,31 @@ def step(state: BlockState, params: BlockParams) -> BlockState:
 _EVENT_TOL = 1e-10
 _REST_TOL = 1e-12
 MAX_IMPACTS = 1_000_000
-MAX_STATES = 1_000_000  # most integrator steps per run; each state holds ~190 bytes
+MAX_STATES = 1_000_000  # most integrator steps per run; each state holds ~27 bytes
 
 
-def _locate_crossing(state: BlockState, params: BlockParams) -> tuple[float, float, float]:
+def _locate_crossing(left: bool, x1: float, x2: float, dt: float, alpha: float,
+                     restoring: bool) -> tuple[float, float, float]:
     """Bisect the partial-step size onto the x1 = 0 crossing.
 
     The bracket shrinks until float resolution runs out, which lands well
     inside the |x1| < 1e-10 localization tolerance and, importantly, pins
     the crossing velocity even when the block creeps across slowly.
-    Returns (h, x1, x2) for the partial step from `state` to the crossing.
+    Returns (h, x1, x2) for the partial step from (x1, x2) to the crossing.
     """
-    left = state.mode == Mode.LEFT
-    lo, hi = 0.0, params.dt  # flow at lo has not crossed; at hi it has
+    lo, hi = 0.0, dt  # flow at lo has not crossed; at hi it has
     for _ in range(120):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        x1, _ = _rk4(state.mode, state.x1, state.x2, mid, params)
-        crossed = (x1 > 0.0) if left else (x1 < 0.0)
+        mx1, _ = _rk4(left, x1, x2, mid, alpha, restoring)
+        crossed = (mx1 > 0.0) if left else (mx1 < 0.0)
         if crossed:
             hi = mid
         else:
             lo = mid
-    h = hi
-    x1, x2 = _rk4(state.mode, state.x1, state.x2, h, params)
-    return h, x1, x2
+    cx1, cx2 = _rk4(left, x1, x2, hi, alpha, restoring)
+    return hi, cx1, cx2
 
 
 def simulate(init: BlockState, params: BlockParams, t_end: float,
@@ -169,9 +225,9 @@ def simulate(init: BlockState, params: BlockParams, t_end: float,
     finite, and a run of more than :data:`MAX_STATES` steps raise
     ``ValueError`` before the first step.
     """
-    if not all(map(math.isfinite, (init.x1, init.x2, init.t))):
+    if not all(map(isfinite, (init.x1, init.x2, init.t))):
         raise ValueError(f"initial state must be finite, got {init}")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
+    if not (isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if (t_end - init.t) / params.dt > MAX_STATES:
         raise ValueError(f"t_end {t_end} at dt {params.dt} takes over {MAX_STATES} steps")
@@ -179,36 +235,47 @@ def simulate(init: BlockState, params: BlockParams, t_end: float,
     if not domain_ok:
         raise ValueError(f"initial state violates the {init.mode.value} domain")
 
-    states = [init]
-    impacts: list[ImpactEvent] = []
-    state = init
-    while state.t < t_end - 1e-15:
-        nxt = step(state, params)
-        left = state.mode == Mode.LEFT
+    dt, alpha, restoring, r = params.dt, params.alpha, params.restoring_sign, params.r
+    rk4 = _rk4
+    left, t, x1, x2 = init.mode == Mode.LEFT, init.t, init.x1, init.x2
+    trace = BlockTrace(array("d", [t]), bytearray([not left]), array("d", [x1]),
+                       array("d", [x2]), [])
+    add_t, add_mode, add_x1, add_x2 = (trace.t.append, trace.mode.append,
+                                       trace.x1.append, trace.x2.append)
+    impacts = trace.impacts
+    t_stop = t_end - 1e-15
+    while t < t_stop:
+        nx1, nx2 = rk4(left, x1, x2, dt, alpha, restoring)
+        if not (isfinite(nx1) and isfinite(nx2)):
+            raise DivergenceError(f"non-finite state at t={t + dt}")
         # a crossing leaves the mode's domain within this step; comparing
         # against the pre-state keeps a grazing pass from re-triggering
         if left:
-            crossed = state.x1 <= _EVENT_TOL and nxt.x1 > _EVENT_TOL
+            crossed = x1 <= _EVENT_TOL and nx1 > _EVENT_TOL
         else:
-            crossed = state.x1 >= -_EVENT_TOL and nxt.x1 < -_EVENT_TOL
+            crossed = x1 >= -_EVENT_TOL and nx1 < -_EVENT_TOL
         # guard also wants the matching velocity sign at the crossing
         if crossed:
-            h, cx1, cx2 = _locate_crossing(state, params)
-            sign_ok = cx2 >= 0.0 if left else cx2 <= 0.0
-            if sign_ok:
-                t_imp = state.t + h
-                post = params.r * cx2
-                impacts.append(ImpactEvent(t=t_imp, pre_velocity=cx2, post_velocity=post))
+            h, cx1, cx2 = _locate_crossing(left, x1, x2, dt, alpha, restoring)
+            if (cx2 >= 0.0) if left else (cx2 <= 0.0):
+                t += h
+                post = r * cx2
+                impacts.append(ImpactEvent(t=t, pre_velocity=cx2, post_velocity=post))
                 if len(impacts) > max_impacts:
                     raise ZenoError(f"more than {max_impacts} impacts")
-                state = BlockState(
-                    mode=Mode.RIGHT if left else Mode.LEFT,
-                    x1=cx1, x2=post, t=t_imp,
-                )
-                states.append(state)
+                left, x1, x2 = not left, cx1, post
+                add_t(t)
+                add_mode(not left)
+                add_x1(x1)
+                add_x2(x2)
                 if abs(post) < _REST_TOL:
-                    return BlockTrace(states, impacts, status="at_rest")
+                    trace.status = "at_rest"
+                    return trace
                 continue
-        state = nxt
-        states.append(state)
-    return BlockTrace(states, impacts, status="completed")
+        t += dt
+        x1, x2 = nx1, nx2
+        add_t(t)
+        add_mode(not left)
+        add_x1(x1)
+        add_x2(x2)
+    return trace

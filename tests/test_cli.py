@@ -135,6 +135,10 @@ def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def never_step(*args, **kwargs):
+    raise AssertionError("the integrator was about to step")
+
+
 @pytest.mark.parametrize("argv", [
     ["--t-end", "inf"],
     ["--t-end", "nan"],
@@ -148,16 +152,23 @@ def test_simulate_block_non_finite_or_oversized_exits_2_before_stepping(
         argv, tmp_path, capsys, monkeypatch):
     from gaitforge import rocking_block
 
-    def never(*args, **kwargs):
-        raise AssertionError("the integrator was about to step")
-
-    monkeypatch.setattr(rocking_block, "step", never)
+    # step, simulate's loop and its crossing bisection all call _rk4
+    monkeypatch.setattr(rocking_block, "_rk4", never_step)
     out = tmp_path / "trace.csv"
     assert run(["simulate-block"] + argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert argv[0].lstrip("-").replace("-", "_") in err
     assert not out.exists()
+
+
+def test_simulate_block_steps_through_rk4(tmp_path, monkeypatch):
+    # the control for the test above: a valid run does reach the patched _rk4
+    from gaitforge import rocking_block
+
+    monkeypatch.setattr(rocking_block, "_rk4", never_step)
+    with pytest.raises(AssertionError, match="about to step"):
+        run(["simulate-block", "--t-end", "1", "--out", str(tmp_path / "trace.csv")])
 
 
 @pytest.mark.parametrize("option, value", [

@@ -61,6 +61,7 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["push", "--force", "5", "--dir", "left"],
     ["ca-predict", "--init", "0101", "--n", "4"],
+    ["simulate-block", "--t-end", "1", "--out", "trace.csv"],
 ])
 def test_verb_runs_without_numpy(argv, tmp_path):
     assert loaded_after(argv, tmp_path) == set()

@@ -296,6 +296,18 @@ def test_saturated_sigmoid_trains_and_predicts_without_warnings():
     assert trainer(data)(feats).shape == (20,)
 
 
+def test_saturated_sigmoid_in_library_calls_without_warnings():
+    # mlp_predict and mlp_gradients called on their own, outside training
+    # and the predictors mlp_trainer returns
+    model = mlp_init((2, 4, 2), seed=5)
+    x = [0.0, 800.0]
+    assert np.any(np.asarray(x) @ model.weights[0] + model.biases[0] < -710.0)
+    out = mlp_predict(model, x)
+    assert out.shape == (2,) and np.all(np.isfinite(out))
+    grads_w, grads_b = mlp_gradients(model, x, [1.0, 0.0])
+    assert all(np.all(np.isfinite(g)) for g in grads_w + grads_b)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gaitforge import rocking_block
 from gaitforge.rocking_block import (
     BlockParams,
     BlockState,
-    BlockTrace,
     DivergenceError,
+    ImpactEvent,
     Mode,
     ZenoError,
     energy,
@@ -197,3 +199,161 @@ def test_trace_csv(tmp_path):
     assert lines[0] == "t,mode,x1,x2,event"
     assert len(lines) == len(trace.states) + 1
     assert sum(line.endswith(",1") for line in lines[1:]) == len(trace.impacts)
+
+
+# ---------------------------------------------------------------------------
+# the flat loop against the per-step reference
+# ---------------------------------------------------------------------------
+
+def reference_rk4(mode, x1, x2, h, params):
+    """Classical RK4 composed from flow, one call per stage."""
+    a, rs = params.alpha, params.restoring_sign
+    k1 = flow(mode, x1, x2, a, rs)
+    k2 = flow(mode, x1 + 0.5 * h * k1[0], x2 + 0.5 * h * k1[1], a, rs)
+    k3 = flow(mode, x1 + 0.5 * h * k2[0], x2 + 0.5 * h * k2[1], a, rs)
+    k4 = flow(mode, x1 + h * k3[0], x2 + h * k3[1], a, rs)
+    nx1 = x1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+    nx2 = x2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    return nx1, nx2
+
+
+def reference_simulate(init, params, t_end, max_impacts=rocking_block.MAX_IMPACTS):
+    """The per-step loop simulate ran before it kept its state in locals:
+    a BlockState per step, stepped and bisected through reference_rk4.
+    Returns (states, impacts, status)."""
+    tol = 1e-10
+
+    def locate(state):
+        left = state.mode == Mode.LEFT
+        lo, hi = 0.0, params.dt
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            x1, _ = reference_rk4(state.mode, state.x1, state.x2, mid, params)
+            if (x1 > 0.0) if left else (x1 < 0.0):
+                hi = mid
+            else:
+                lo = mid
+        return (hi, *reference_rk4(state.mode, state.x1, state.x2, hi, params))
+
+    states, impacts, state = [init], [], init
+    while state.t < t_end - 1e-15:
+        nx1, nx2 = reference_rk4(state.mode, state.x1, state.x2, params.dt, params)
+        if not (math.isfinite(nx1) and math.isfinite(nx2)):
+            raise DivergenceError(f"non-finite state at t={state.t + params.dt}")
+        nxt = BlockState(state.mode, nx1, nx2, state.t + params.dt)
+        left = state.mode == Mode.LEFT
+        if left:
+            crossed = state.x1 <= tol and nxt.x1 > tol
+        else:
+            crossed = state.x1 >= -tol and nxt.x1 < -tol
+        if crossed:
+            h, cx1, cx2 = locate(state)
+            if cx2 >= 0.0 if left else cx2 <= 0.0:
+                t_imp = state.t + h
+                post = params.r * cx2
+                impacts.append(ImpactEvent(t_imp, cx2, post))
+                if len(impacts) > max_impacts:
+                    raise ZenoError(f"more than {max_impacts} impacts")
+                state = BlockState(Mode.RIGHT if left else Mode.LEFT, cx1, post, t_imp)
+                states.append(state)
+                if abs(post) < 1e-12:
+                    return states, impacts, "at_rest"
+                continue
+        state = nxt
+        states.append(state)
+    return states, impacts, "completed"
+
+
+def state_bits(s):
+    return s.mode, s.t.hex(), s.x1.hex(), s.x2.hex()
+
+
+def impact_bits(e):
+    return e.t.hex(), e.pre_velocity.hex(), e.post_velocity.hex()
+
+
+@pytest.mark.parametrize("mode", [Mode.LEFT, Mode.RIGHT])
+@pytest.mark.parametrize("restoring", [False, True])
+# full steps of dt = 1e-3 and 1e-4, bisection's partial steps, and steps so
+# long that a regrouped stage sum shows in the last bits of the result
+@pytest.mark.parametrize("h", [1e-3, 1e-4, 3.7e-4, 1e-3 / 1024, 0.0, 0.25, 1.0])
+def test_rk4_is_classical_rk4_over_flow_bit_for_bit(mode, restoring, h):
+    params = BlockParams(alpha=0.37, dt=1e-3, restoring_sign=restoring)
+    rng = np.random.default_rng(7)
+    x1s = rng.uniform(-1.2, 1.2, size=300)
+    x2s = rng.uniform(-1.0, 1.0, size=300) * 10.0 ** rng.uniform(-12, 0, size=300)
+    for x1, x2 in list(zip(x1s.tolist(), x2s.tolist())) + [(0.0, 0.0), (-0.0, 1e-13)]:
+        got = rocking_block._rk4(mode == Mode.LEFT, x1, x2, h, params.alpha, restoring)
+        want = reference_rk4(mode, x1, x2, h, params)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("init, params, t_end, status", [
+    # verbatim equations, completed
+    (BlockState(Mode.LEFT, -0.5, 0.0), BlockParams(alpha=0.3, r=0.9), 30.0, "completed"),
+    # restoring sign, runs until it comes to rest
+    (BlockState(Mode.LEFT, -0.5142, 0.0),
+     BlockParams(alpha=0.3, r=0.9, restoring_sign=True), 60.0, "at_rest"),
+    # elastic, fine step
+    (BlockState(Mode.LEFT, -0.5, 0.0),
+     BlockParams(alpha=0.4, r=1.0, dt=1e-4, restoring_sign=True), 6.0, "completed"),
+    # creeping onto the guard, at rest after one impact
+    (BlockState(Mode.LEFT, -1e-26, 1e-13), BlockParams(alpha=0.3, r=0.5), 1.0, "at_rest"),
+    # starting in the right mode
+    (BlockState(Mode.RIGHT, 0.3, -0.2, t=2.0),
+     BlockParams(alpha=0.5, r=0.7, restoring_sign=True), 14.0, "at_rest"),
+])
+def test_simulate_matches_the_per_step_reference_bit_for_bit(init, params, t_end, status):
+    states, impacts, want_status = reference_simulate(init, params, t_end)
+    trace = simulate(init, params, t_end)
+    assert want_status == trace.status == status
+    assert len(trace.states) == len(states)
+    assert [state_bits(s) for s in trace.states] == [state_bits(s) for s in states]
+    assert [impact_bits(e) for e in trace.impacts] == [impact_bits(e) for e in impacts]
+
+
+def test_zeno_guard_raises_as_the_reference_does():
+    params = BlockParams(alpha=0.3, r=0.5, dt=1e-3, restoring_sign=True)
+    init = BlockState(Mode.LEFT, -0.3, 0.0)
+    with pytest.raises(ZenoError) as want:
+        reference_simulate(init, params, 50.0, max_impacts=5)
+    with pytest.raises(ZenoError) as got:
+        simulate(init, params, 50.0, max_impacts=5)
+    assert str(got.value) == str(want.value) == "more than 5 impacts"
+
+
+def test_trace_states_is_a_read_only_sequence():
+    params = BlockParams(alpha=0.3, r=0.9, dt=1e-3)
+    init = BlockState(Mode.LEFT, -0.5, 0.0)
+    trace = simulate(init, params, 5.0)
+    states, _, _ = reference_simulate(init, params, 5.0)
+    assert len(trace.states) == len(states) > 5000
+    assert trace.states[0] == init
+    assert trace.states[-1] == states[-1]
+    assert trace.states[-3:] == states[-3:]
+    assert list(trace.states) == states
+    assert trace.states == states
+    assert trace.states != states[:-1]
+    assert trace.states != tuple(states[1:]) + (init,)
+    with pytest.raises(IndexError):
+        trace.states[len(states)]
+    with pytest.raises(TypeError):
+        trace.states[0] = init
+
+
+def test_sixty_second_trace_keeps_at_most_40_bytes_per_state():
+    # the columns are three doubles and a mode byte per state; a BlockState
+    # object per state would keep about 184
+    params = BlockParams(alpha=0.3, r=0.9, dt=1e-3)
+    init = BlockState(Mode.LEFT, -0.5, 0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = simulate(init, params, 60.0)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace.states) > 60_000
+    assert kept / len(trace.states) <= 40.0
