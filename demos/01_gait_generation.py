@@ -6,6 +6,9 @@ phase-boundary discontinuities, and check the result against the tabulated
 joint-angle ranges.
 """
 
+import tempfile
+from pathlib import Path
+
 from gaitforge import gait_model as gm
 
 bank = gm.FieldBank.default()
@@ -35,5 +38,6 @@ cycle = gm.limit_cycle(traj, "left_knee")
 print(f"\nleft knee phase portrait: {len(cycle.points)} points, "
       f"closure gap {cycle.closure_gap:.3f}")
 
-traj.write_tsv("/tmp/gaitforge_demo_cycle.tsv")
-print("\nwrote /tmp/gaitforge_demo_cycle.tsv")
+with tempfile.TemporaryDirectory() as tmp:
+    traj.write_tsv(Path(tmp) / "cycle.tsv")
+print(f"\nwrote {len(traj)} rows of time and six joint angles to a TSV file")

@@ -5,6 +5,9 @@ scales the angular velocity by the restitution coefficient and flips the
 support edge, so the post-impact speeds contract geometrically.
 """
 
+import tempfile
+from pathlib import Path
+
 from gaitforge.rocking_block import (
     BlockParams, BlockState, Mode, energy, simulate,
 )
@@ -31,5 +34,6 @@ intervals = [b - a for a, b in zip(times, times[1:])]
 print("\nelastic, restoring-sign inter-impact intervals:")
 print("  " + "  ".join(f"{iv:.6f}" for iv in intervals))
 
-trace.write_csv("/tmp/gaitforge_demo_block.csv")
-print("\nwrote /tmp/gaitforge_demo_block.csv")
+with tempfile.TemporaryDirectory() as tmp:
+    trace.write_csv(Path(tmp) / "block.csv")
+print(f"\nwrote {len(trace.states)} rows of t, mode, x1, x2 and event to a CSV file")

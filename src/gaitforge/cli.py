@@ -8,8 +8,8 @@ one applies.
 
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
-``ca-predict`` and ``simulate-block`` start on bare Python, the rest load
-numpy. No verb needs scipy.
+``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
+the rest load numpy. No verb needs scipy.
 """
 
 from __future__ import annotations

@@ -7,20 +7,30 @@ each phase, every one of the six leg joints follows its own polynomial
 This module evaluates those fields, stitches them into full-cycle
 trajectories, checks tabulated joint-angle ranges, builds phase portraits,
 and fits new fields from captured samples.
+
+Generation and the range check run on the standard library: a trajectory
+and a range report are ``array`` columns of plain floats, so ``gen-gait``
+starts without numpy. Only the phase portrait, the fitting functions and
+:func:`eval_vector_field` on an array import numpy, when they are called.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, Sequence
-
-import numpy as np
+from itertools import groupby
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .fixtures import fixture_path
 from .tables import write_json, write_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CYCLE_LENGTH = 1.6
 
@@ -33,7 +43,8 @@ PERCENT_FRACTIONS = (0.10, 0.30, 0.50, 0.60, 0.73, 0.87, 1.00)
 DEFAULT_TC = 0.0167
 
 # Most grid points one cycle may be sampled on, reached at tc just above
-# 8e-7 on the default schedule: seven 16 MB float64 columns per trajectory.
+# 8e-7 on the default schedule: seven 16 MB float64 columns per trajectory
+# (and a 2 MB column of phase bytes).
 MAX_SAMPLES = 2_000_000
 
 
@@ -109,8 +120,8 @@ class PhaseSchedule:
         raise ValueError(f"unknown schedule preset {name!r}")
 
 
-def phases_of(xs, schedule: PhaseSchedule | None = None) -> np.ndarray:
-    """Map cycle coordinates to gait-phase ordinals, one per coordinate.
+def phases_of(xs, schedule: PhaseSchedule | None = None) -> array:
+    """Map cycle coordinates to gait-phase ordinals, one byte per coordinate.
 
     Guards are strict, so a coordinate sitting exactly on a boundary belongs
     to the earlier phase; x = 0 is LR. Coordinates past the cycle end wrap
@@ -118,21 +129,38 @@ def phases_of(xs, schedule: PhaseSchedule | None = None) -> np.ndarray:
     ValueError.
     """
     schedule = schedule or PhaseSchedule.guard()
-    x = np.asarray(xs, dtype=float)
-    # searchsorted would place NaN past the last boundary, so check first
-    bad = ~np.isfinite(x) | (x < 0.0)
-    if bad.any():
-        raise ValueError(
-            f"cycle coordinate must be finite and >= 0, got {x[bad].flat[0]}"
-        )
-    x_max = schedule.x_max
-    x = np.where(x > x_max, np.fmod(x, x_max), x)
-    return np.searchsorted(schedule.boundaries, x, side="left")
+    boundaries, x_max = schedule.boundaries, schedule.x_max
+    phases = array("B")
+    for x in map(float, xs):
+        # bisect would place NaN past the last boundary, so check first
+        if not (math.isfinite(x) and x >= 0.0):
+            raise ValueError(f"cycle coordinate must be finite and >= 0, got {x}")
+        if x > x_max:
+            x = math.fmod(x, x_max)
+        phases.append(bisect_left(boundaries, x))
+    return phases
 
 
 def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
     """Scalar form of :func:`phases_of`."""
-    return GaitPhase(int(phases_of([x], schedule)[0]))
+    return GaitPhase(phases_of([x], schedule)[0])
+
+
+def _phase_runs(grid: array, schedule: PhaseSchedule) -> list[tuple[int, int, int]]:
+    """``(phase ordinal, start, stop)`` slices of an increasing grid, in order.
+
+    Phase k owns the coordinates in ``(b[k-1], b[k]]``, so its slice ends
+    where ``bisect_right`` puts ``b[k]``: the ordinals :func:`phases_of`
+    gives. A grid point past the cycle end (``floor(x_max / tc) * tc`` can
+    round above ``x_max``) wraps as there, in a slice of its own.
+    """
+    runs, start = [], 0
+    for k, b in enumerate(schedule.boundaries):
+        stop = bisect_right(grid, b)
+        runs.append((k, start, stop))
+        start = stop
+    runs += [(k, i, i + 1) for i, k in enumerate(phases_of(grid[start:], schedule), start)]
+    return runs
 
 
 @dataclass(frozen=True)
@@ -165,23 +193,45 @@ class PolynomialVectorField:
 
 
 def eval_vector_field(vf: PolynomialVectorField, x, strict: bool = False):
-    """Evaluate a field by Horner's scheme, plus the error offset.
+    """Evaluate a field by Horner's scheme from ``acc = 0.0``, plus the
+    error offset.
 
     With ``strict`` the coordinate must lie inside the field's valid
-    interval. Accepts scalars or arrays.
+    interval. A number gives a float; an array or sequence gives a numpy
+    array, each element evaluated with the same float operations.
     """
-    xs = np.asarray(x, dtype=float)
-    if strict:
-        lo, hi = vf.valid_interval
-        if np.any(xs < lo) or np.any(xs > hi):
-            raise ValueError(
-                f"coordinate outside valid interval [{lo}, {hi}]"
-            )
-    acc = np.zeros_like(xs)
+    lo, hi = vf.valid_interval
+    if isinstance(x, (int, float)):
+        x = float(x)
+        outside = strict and (x < lo or x > hi)
+    else:
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        outside = strict and bool(np.any(x < lo) or np.any(x > hi))
+    if outside:
+        raise ValueError(f"coordinate outside valid interval [{lo}, {hi}]")
+    acc = 0.0
     for c in vf.coefficients:
-        acc = acc * xs + c
-    acc = acc + vf.error_offset
-    return float(acc) if np.isscalar(x) else acc
+        acc = acc * x + c
+    return acc + vf.error_offset
+
+
+def _grid_values(vf: PolynomialVectorField, xs):
+    """:func:`eval_vector_field` at each of the grid coordinates ``xs``,
+    lazily, with Horner unrolled per degree. On ``x >= 0`` its first step
+    ``0.0 * x + c0`` is ``c0 + 0.0`` (which turns a ``-0.0`` into ``+0.0``),
+    so every value has the same bits."""
+    c0, *rest = vf.coefficients
+    a, off = c0 + 0.0, vf.error_offset
+    if len(rest) == 2:
+        b, c = rest
+        return ((a * x + b) * x + c + off for x in xs)
+    if len(rest) == 3:
+        b, c, d = rest
+        return (((a * x + b) * x + c) * x + d + off for x in xs)
+    b, c, d, e = rest
+    return ((((a * x + b) * x + c) * x + d) * x + e + off for x in xs)
 
 
 @dataclass(frozen=True)
@@ -297,11 +347,12 @@ class BoundaryGap:
 
 @dataclass
 class JointTrajectorySet:
-    """Six joint-angle sequences sampled on a shared cycle grid."""
+    """Six joint-angle sequences sampled on a shared cycle grid, as
+    ``array("d")`` columns."""
 
-    x: np.ndarray                      # grid, strictly increasing, step tc
-    angles: dict[str, np.ndarray]      # joint key -> degrees
-    phases: np.ndarray                 # GaitPhase ordinal per grid point
+    x: array                           # grid, strictly increasing, step tc
+    angles: dict[str, array]           # joint key -> degrees
+    phases: array                      # array("B"): GaitPhase ordinal per grid point
     tc: float
     schedule: PhaseSchedule
     boundary_report: list[BoundaryGap] = field(default_factory=list)
@@ -312,9 +363,9 @@ class JointTrajectorySet:
     def write_tsv(self, path) -> None:
         """Tab-separated trajectory: time then the six joint columns, six
         decimal places."""
-        table = np.column_stack([self.x] + [self.angles[k] for k in JOINT_KEYS])
         write_rows(path, "\t".join(("time",) + JOINT_KEYS),
-                   "\t".join(["%.6f"] * (1 + len(JOINT_KEYS))), table.tolist())
+                   "\t".join(["%.6f"] * (1 + len(JOINT_KEYS))),
+                   zip(self.x, *(self.angles[k] for k in JOINT_KEYS)))
 
 
 def generate_gait_cycle(
@@ -334,19 +385,19 @@ def generate_gait_cycle(
     bank.require_complete()
     schedule = config.schedule
     tc = config.tc
-    n = config.n_samples
-    grid = np.arange(n) * tc
-    phases = phases_of(grid, schedule)
-    masks = [phases == int(phase) for phase in GaitPhase]
+    grid = array("d", [i * tc for i in range(config.n_samples)])
+    runs = _phase_runs(grid, schedule)
+    phases = array("B")
+    for k, start, stop in runs:
+        phases.frombytes(bytes((k,)) * (stop - start))
 
-    # one Horner pass per (joint, phase) over that phase's grid points; each
-    # element sees the same float64 operations as a scalar evaluation
-    angles: dict[str, np.ndarray] = {}
+    # one Horner pass per (joint, phase) over that phase's slice of the grid
+    angles: dict[str, array] = {}
     for jkey in JOINT_KEYS:
-        vals = np.empty(n)
-        for phase, mask in zip(GaitPhase, masks):
-            vals[mask] = eval_vector_field(bank.get(jkey, phase), grid[mask])
-        angles[jkey] = vals
+        column = array("d")
+        for k, start, stop in runs:
+            column.extend(_grid_values(bank.get(jkey, GaitPhase(k)), grid[start:stop]))
+        angles[jkey] = column
 
     report = []
     for phase in GaitPhase:
@@ -365,19 +416,18 @@ def generate_gait_cycle(
 
     if cross_fade:
         half = 2 * tc
-        interior = schedule.boundaries[:-1]
-        for b, ordinal in zip(interior, phases_of(interior, schedule)):
+        # interior boundary k ends phase k; a later window overwrites an
+        # earlier one where they overlap
+        for before, b in zip(GaitPhase, schedule.boundaries[:-1]):
             lo, hi = b - half, b + half
-            idx = np.nonzero((grid >= lo) & (grid <= hi))[0]
-            if len(idx) == 0:
-                continue
-            before = GaitPhase(int(ordinal))
             after = before.successor
-            for jkey in JOINT_KEYS:
-                fa = eval_vector_field(bank.get(jkey, before), grid[idx])
-                fb = eval_vector_field(bank.get(jkey, after), grid[idx])
-                w = (grid[idx] - lo) / (2.0 * half)
-                angles[jkey][idx] = (1.0 - w) * fa + w * fb
+            for i in range(bisect_left(grid, lo), bisect_right(grid, hi)):
+                x = grid[i]
+                w = (x - lo) / (2.0 * half)
+                for jkey in JOINT_KEYS:
+                    fa = eval_vector_field(bank.get(jkey, before), x)
+                    fb = eval_vector_field(bank.get(jkey, after), x)
+                    angles[jkey][i] = (1.0 - w) * fa + w * fb
 
     return JointTrajectorySet(
         x=grid, angles=angles, phases=phases, tc=tc, schedule=schedule,
@@ -448,20 +498,20 @@ class RangeViolation:
     hi: float
 
 
-@dataclass(eq=False)  # field-wise == is ambiguous on arrays
+@dataclass
 class ValidationReport:
-    """Range-check result: the failing samples as parallel arrays in (joint,
-    sample index) order. `joint` holds positions in JOINT_KEYS, `phase`
-    GaitPhase ordinals, `lo`/`hi` the interval each sample missed."""
+    """Range-check result: the failing samples as parallel ``array`` columns
+    in (joint, sample index) order. `joint` holds positions in JOINT_KEYS,
+    `phase` GaitPhase ordinals, `lo`/`hi` the interval each sample missed."""
 
     checked: int
-    joint: np.ndarray
-    index: np.ndarray
-    x: np.ndarray
-    phase: np.ndarray
-    angle: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    joint: array   # "B"
+    index: array   # "q"
+    x: array       # "d", as are angle, lo and hi
+    phase: array   # "B"
+    angle: array
+    lo: array
+    hi: array
 
     @property
     def failed(self) -> int:
@@ -479,8 +529,15 @@ class ValidationReport:
     def summary(self) -> str:
         if self.ok:
             return f"all {self.checked} checked samples within tabulated ranges"
-        # argmax keeps the first of equal excesses in (joint, index) order
-        w = int(np.argmax(np.maximum(self.lo - self.angle, self.angle - self.hi)))
+        # a failing angle is below lo, above hi or NaN, so the larger of
+        # lo - a and a - hi is the one its comparison with lo picks
+        excess = [lo - a if a < lo else a - hi
+                  for a, lo, hi in zip(self.angle, self.lo, self.hi)]
+        # the first NaN (a NaN angle) is the worst, else the first of equal
+        # excesses in (joint, index) order
+        w = next((i for i, e in enumerate(excess) if e != e), None)
+        if w is None:
+            w = excess.index(max(excess))
         joint, phase = JOINT_KEYS[self.joint[w]], GaitPhase(self.phase[w])
         return (
             f"{self.failed} of {self.checked} checked samples out of "
@@ -504,10 +561,10 @@ class Violations(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        return self._item(*(c[i].item() for c in self._columns))
+        return self._item(*(c[i] for c in self._columns))
 
     def __iter__(self):
-        for row in zip(*(c.tolist() for c in self._columns)):
+        for row in zip(*self._columns):
             yield self._item(*row)
 
     @staticmethod
@@ -528,24 +585,36 @@ def validate_ranges(
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     ranges = ranges or RangeTable.default()
-    phases = np.asarray(traj.phases)
-    checked = 0
-    parts = []
+    # (phase, start, stop) for each run of equal phases; a generated
+    # trajectory has one per phase
+    runs, start = [], 0
+    for k, group in groupby(traj.phases):
+        stop = start + sum(1 for _ in group)
+        runs.append((k, start, stop))
+        start = stop
+    report = ValidationReport(checked=0, joint=array("B"), index=array("q"), x=array("d"),
+                              phase=array("B"), angle=array("d"), lo=array("d"), hi=array("d"))
     for j, jkey in enumerate(JOINT_KEYS):
-        intervals = [ranges.interval(phase, jkey) for phase in GaitPhase]
-        tabulated = np.array([iv is not None for iv in intervals])[phases]
-        lo = np.array([iv[0] if iv else np.nan for iv in intervals])[phases]
-        hi = np.array([iv[1] if iv else np.nan for iv in intervals])[phases]
-        vals = np.asarray(traj.angles[jkey], dtype=float)
-        checked += int(np.count_nonzero(tabulated))
-        idx = np.flatnonzero(tabulated & ~((lo <= vals) & (vals <= hi)))
-        parts.append((np.full(len(idx), j), idx, vals[idx], lo[idx], hi[idx]))
-    joint, index, angle, lo, hi = (np.concatenate(c) for c in zip(*parts))
-    return ValidationReport(
-        checked=checked, joint=joint, index=index,
-        x=np.asarray(traj.x, dtype=float)[index], phase=phases[index],
-        angle=angle, lo=lo, hi=hi,
-    )
+        vals = traj.angles[jkey]
+        for k, start, stop in runs:
+            interval = ranges.interval(GaitPhase(k), jkey)
+            if interval is None:
+                continue
+            lo, hi = interval
+            report.checked += stop - start
+            # one 0/1 byte per sample; each run of failing samples is copied
+            # over as slices
+            failing = bytes([not lo <= v <= hi for v in vals[start:stop]])
+            for span in re.finditer(b"\x01+", failing):
+                a, b = span.start() + start, span.end() + start
+                report.joint.frombytes(bytes((j,)) * (b - a))
+                report.index.extend(range(a, b))
+                report.x.extend(traj.x[a:b])
+                report.phase.frombytes(bytes((k,)) * (b - a))
+                report.angle.extend(vals[a:b])
+                report.lo.extend(array("d", (lo,)) * (b - a))
+                report.hi.extend(array("d", (hi,)) * (b - a))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +636,8 @@ def limit_cycle(traj: JointTrajectorySet, jkey: str) -> LimitCycle:
     trajectory grid. The closure gap between the first and last points is
     reported, not asserted: a periodic, stable gait closes its loop.
     """
+    import numpy as np
+
     angles = traj.angles[jkey]
     if len(angles) < 3:
         raise ValueError("need at least 3 samples for a phase portrait")
@@ -593,6 +664,8 @@ def fit_vector_field(
     intervals. Returns the fitted field (error offset zero) and the residual
     RMS.
     """
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
     if not 2 <= degree <= 4:
@@ -628,6 +701,8 @@ def overfit_band(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
     The spread between the two fits brackets where the joint angle may vary;
     it collapses to zero when the data is genuinely quadratic.
     """
+    import numpy as np
+
     x = np.asarray(xs, dtype=float)
     if len(x) < 5:
         raise ValueError("need at least 5 samples")

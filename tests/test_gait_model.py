@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ def test_default_grid_shape_and_finiteness():
 def test_constant_bank_gives_constant_trajectory():
     traj = generate_gait_cycle(constant_bank(7.25))
     for jkey in gm.JOINT_KEYS:
-        assert np.all(traj.angles[jkey] == 7.25)
+        assert np.all(np.asarray(traj.angles[jkey]) == 7.25)
     for gap in traj.boundary_report:
         assert all(g == 0.0 for g in gap.gaps.values())
 
@@ -204,6 +205,32 @@ def test_interior_samples_equal_field_eval_bitwise():
             assert traj.angles[jkey][i] == eval_vector_field(bank.get(jkey, phase), float(x))
 
 
+def test_grid_point_past_cycle_end_wraps_like_phases_of():
+    # floor(1.6 / tc) * tc rounds to 1.6000000000000003 at this tc
+    bank = FieldBank.default()
+    traj = generate_gait_cycle(bank, GaitModelConfig(tc=0.021333333333333336),
+                               cross_fade=True)
+    assert traj.x[-1] > CYCLE_LENGTH
+    assert traj.phases == phases_of(traj.x)
+    assert traj.phases[-1] == GaitPhase.LR
+    for jkey in gm.JOINT_KEYS:
+        vf = bank.get(jkey, GaitPhase.LR)
+        assert traj.angles[jkey][-1] == eval_vector_field(vf, traj.x[-1])
+
+
+def test_generation_peaks_under_64_bytes_per_sample():
+    # seven float64 columns and one byte column keep 57 B per sample
+    bank = FieldBank.default()
+    tracemalloc.start()
+    try:
+        traj = generate_gait_cycle(bank, GaitModelConfig(tc=1e-5), cross_fade=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 160_001
+    assert peak / len(traj) <= 64
+
+
 def test_missing_field_is_configuration_error():
     doc = FieldBank.default().to_dict()
     del doc["left_hip"]["MST"]
@@ -224,7 +251,7 @@ def test_cross_fade_blends_near_boundaries():
     ]
     far = [i for i in range(len(plain)) if i not in near]
     assert np.array_equal(
-        plain.angles["left_hip"][far], faded.angles["left_hip"][far]
+        np.asarray(plain.angles["left_hip"])[far], np.asarray(faded.angles["left_hip"])[far]
     )
     assert any(
         plain.angles["left_hip"][i] != faded.angles["left_hip"][i] for i in near
@@ -282,6 +309,16 @@ def test_extreme_sample_is_flagged():
     report = validate_ranges(traj)
     assert not report.ok
     assert any(v.joint == "left_hip" for v in report.violations)
+
+
+def test_nan_angle_is_the_worst_sample():
+    # as numpy's argmax ranks NaN: above an infinite excess that comes first
+    traj = generate_gait_cycle(constant_bank(0.0))
+    traj.angles["left_hip"][3] = float("inf")
+    traj.angles["right_hip"][2] = float("nan")
+    traj.angles["right_hip"][5] = float("nan")
+    report = validate_ranges(traj)
+    assert "worst: right_hip LR x=0.0334 angle=nan" in report.summary()
 
 
 def test_initial_phase_interval_is_order_normalized():
@@ -376,7 +413,8 @@ def reference_validation(traj, ranges):
 
 
 # tc = 1e-4 puts five grid points exactly on a guard boundary and three on a
-# percent boundary; the constant bank makes every excess within a phase tie.
+# percent boundary, so all four schedule/fade pairs run there; the constant
+# bank makes every excess within a phase tie.
 @settings(max_examples=8, deadline=None)
 @given(
     tc=st.floats(min_value=1e-4, max_value=0.05),
@@ -385,6 +423,8 @@ def reference_validation(traj, ranges):
     constant=st.booleans(),
 )
 @example(tc=1e-4, schedule="guard", cross_fade=False, constant=False)
+@example(tc=1e-4, schedule="guard", cross_fade=True, constant=False)
+@example(tc=1e-4, schedule="percent", cross_fade=False, constant=False)
 @example(tc=1e-4, schedule="percent", cross_fade=True, constant=False)
 @example(tc=0.0167, schedule="guard", cross_fade=False, constant=True)
 def test_array_paths_match_scalar_reference(tc, schedule, cross_fade, constant):

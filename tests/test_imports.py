@@ -1,7 +1,8 @@
 """Import contract of the command line: each verb loads only the heavy
 libraries it runs, and none needs scipy. numpy costs most of a CLI call's
 start-up and scipy far more, so a stray import would slow every verb without
-failing anything else.
+failing anything else. ``push``, ``ca-predict``, ``simulate-block`` and
+``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy.
 
 Every case runs in a fresh interpreter, since this test process has long
 since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
@@ -30,10 +31,10 @@ print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy")
 """
 
 
-def loaded_after(argv, cwd):
+def loaded_after(argv, cwd, probe=PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], cwd=cwd,
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
@@ -58,12 +59,23 @@ def test_importing_the_cli_loads_neither_numpy_nor_scipy(tmp_path):
     assert loaded_after([], tmp_path) == set()
 
 
+def test_importing_the_gait_model_loads_no_numpy(tmp_path):
+    probe = PROBE.replace("from gaitforge import cli", "import gaitforge.gait_model")
+    assert loaded_after([], tmp_path, probe) == set()
+
+
 @pytest.mark.parametrize("argv", [
     ["push", "--force", "5", "--dir", "left"],
     ["ca-predict", "--init", "0101", "--n", "4"],
     ["simulate-block", "--t-end", "1", "--out", "trace.csv"],
+    ["gen-gait", "--out", "cycle.tsv"],
+    ["gen-gait", "--schedule", "percent", "--tc", "1e-4", "--cross-fade", "--out", "cycle.tsv"],
+    ["gen-gait", "--model-bank", "bank.json", "--out", "cycle.tsv"],
 ])
 def test_verb_runs_without_numpy(argv, tmp_path):
+    from gaitforge.gait_model import FieldBank
+
+    FieldBank.default().save(tmp_path / "bank.json")
     assert loaded_after(argv, tmp_path) == set()
 
 
