@@ -173,11 +173,11 @@ def _window3(values: np.ndarray) -> np.ndarray:
     return (values[:-2] + values[1:-1] + values[2:]) / 3.0
 
 
-def smooth_moving_average(series: TimeSeries, rms_tol: float = 1e-4) -> TimeSeries:
+def smooth_moving_average(series: TimeSeries) -> TimeSeries:
     """Repeated width-3 moving average, resampled back to the input length.
 
     Each pass shrinks the series by two samples. Passes repeat while the RMS
-    change between consecutive passes stays above ``rms_tol`` and the series
+    change between consecutive passes stays above 1e-4 and the series
     is still longer than half its original length; the result is then
     linearly resampled onto the original grid. Averaging is a convex
     combination, so the output never leaves the input's value range.
@@ -188,7 +188,7 @@ def smooth_moving_average(series: TimeSeries, rms_tol: float = 1e-4) -> TimeSeri
     prev = series.values
     cur = _window3(prev)
     rms = float(np.sqrt(np.mean((cur - prev[1:-1]) ** 2)))
-    while rms > rms_tol and len(cur) > n / 2 and len(cur) >= 3:
+    while rms > 1e-4 and len(cur) > n / 2 and len(cur) >= 3:
         nxt = _window3(cur)
         rms = float(np.sqrt(np.mean((nxt - cur[1:-1]) ** 2)))
         cur = nxt

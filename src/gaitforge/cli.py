@@ -15,13 +15,13 @@ the rest load numpy. No verb needs scipy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import push_fuzzy
 from .fixtures import fixture_path
 from .tables import json_text, write_json, write_rows
 
@@ -49,6 +49,10 @@ def _at_least_one(option: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{option}: must be >= 1, got {value}")
 
+
+# push --dir: the values of push_fuzzy.Direction, spelled out so that building
+# the parser does not load push_fuzzy
+PUSH_DIRECTIONS = ("left", "right", "forward", "backward")
 
 # every path option, by argparse dest; an empty value is an error, not an
 # absent option
@@ -315,25 +319,12 @@ def cmd_cv(args) -> int:
         result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
         baseline = (None if base_trainer is None else
                     learn.kfold_cv(data, base_trainer, folds=args.folds, seed=args.seed))
-    report = {
-        "folds": args.folds,
-        "method": args.method,
-        "fold_accuracies": result.fold_accuracies,
-        "mean": result.mean,
-        "variance": result.variance,
-        "sigma": result.sigma,
-    }
+    report = {"folds": args.folds, "method": args.method, **dataclasses.asdict(result)}
     if baseline is not None:
         anova = learn.anova_single_factor(
             [result.fold_accuracies, baseline.fold_accuracies]
         )
-        report["baseline"] = {
-            "method": args.baseline,
-            "fold_accuracies": baseline.fold_accuracies,
-            "mean": baseline.mean,
-            "variance": baseline.variance,
-            "sigma": baseline.sigma,
-        }
+        report["baseline"] = {"method": args.baseline, **dataclasses.asdict(baseline)}
         report["anova"] = anova.as_dict()
     if args.out is not None:
         write_json(args.out, report)
@@ -344,6 +335,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_push(args) -> int:
+    from . import push_fuzzy
+
     push = push_fuzzy.ForceInput(
         magnitude=args.force, direction=push_fuzzy.Direction(args.dir)
     )
@@ -383,7 +376,7 @@ def cmd_plot_data(args) -> int:
                    cycle.points.tolist())
 
     # stick-figure frames from hip/knee angles via forward kinematics
-    geom = capture.TwoLinkGeometry(l1=config.l1, l2=config.l2)
+    geom = capture.TwoLinkGeometry(l1=gait_model.LINK_LENGTH, l2=gait_model.LINK_LENGTH)
     for side in ("left", "right"):
         hips = np.radians(traj.angles[f"{side}_hip"])
         knees = np.radians(traj.angles[f"{side}_knee"])
@@ -418,11 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_gait_args(p):
+        p.add_argument("--model-bank", help="bank JSON (default: bundled tables)")
+        p.add_argument("--schedule", choices=("guard", "percent"), default="guard")
+        p.add_argument("--tc", type=float,
+                       help="grid step (default: gait_model.DEFAULT_TC)")
+
     p = sub.add_parser("gen-gait", help="generate a full six-joint gait cycle")
-    p.add_argument("--model-bank", help="bank JSON (default: bundled tables)")
-    p.add_argument("--schedule", choices=("guard", "percent"), default="guard")
-    p.add_argument("--tc", type=float,
-                   help="grid step (default: gait_model.DEFAULT_TC)")
+    add_gait_args(p)
     p.add_argument("--cross-fade", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_gait)
@@ -496,17 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("push", help="push-recovery verdict as JSON")
     p.add_argument("--force", type=float, required=True)
-    p.add_argument("--dir", choices=[d.value for d in push_fuzzy.Direction],
-                   required=True)
+    p.add_argument("--dir", choices=PUSH_DIRECTIONS, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_push)
 
     p = sub.add_parser("plot-data", help="two-column CSVs for the standard figures")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--model-bank")
-    p.add_argument("--schedule", choices=("guard", "percent"), default="guard")
-    p.add_argument("--tc", type=float,
-                   help="grid step (default: gait_model.DEFAULT_TC)")
+    add_gait_args(p)
     p.add_argument("--frame-stride", type=int, default=8)
     p.set_defaults(func=cmd_plot_data)
 

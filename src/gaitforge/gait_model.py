@@ -27,7 +27,7 @@ from itertools import groupby
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .fixtures import fixture_path
-from .tables import write_json, write_rows
+from .tables import ColumnRows, write_json, write_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -41,6 +41,10 @@ GUARD_BOUNDARIES = (0.5, 0.733, 0.9833, 1.1167, 1.2667, 1.4333, 1.600)
 PERCENT_FRACTIONS = (0.10, 0.30, 0.50, 0.60, 0.73, 0.87, 1.00)
 
 DEFAULT_TC = 0.0167
+
+# Thigh and shank length in meters; they pose the stick figures drawn from a
+# trajectory, not the trajectory itself.
+LINK_LENGTH = 0.4
 
 # Most grid points one cycle may be sampled on, reached at tc just above
 # 8e-7 on the default schedule: seven 16 MB float64 columns per trajectory
@@ -107,9 +111,9 @@ class PhaseSchedule:
         return cls(GUARD_BOUNDARIES)
 
     @classmethod
-    def percent(cls, x_max: float = CYCLE_LENGTH) -> "PhaseSchedule":
-        """Alternate preset: fixed per-phase percentages scaled to `x_max`."""
-        return cls(tuple(x_max * f for f in PERCENT_FRACTIONS))
+    def percent(cls) -> "PhaseSchedule":
+        """Alternate preset: fixed per-phase percentages of the cycle length."""
+        return cls(tuple(CYCLE_LENGTH * f for f in PERCENT_FRACTIONS))
 
     @classmethod
     def preset(cls, name: str) -> "PhaseSchedule":
@@ -236,20 +240,13 @@ def _grid_values(vf: PolynomialVectorField, xs):
 
 @dataclass(frozen=True)
 class GaitModelConfig:
-    """Leg geometry and sampling parameters of the walking model.
+    """Sampling parameters of the walking model: the grid step `tc` and the
+    phase schedule."""
 
-    Lengths are meters. Only `tc` and `schedule` affect trajectory
-    generation; the link lengths pose the stick figures drawn from it.
-    """
-
-    l1: float = 0.4      # thigh
-    l2: float = 0.4      # shank
     tc: float = DEFAULT_TC
     schedule: PhaseSchedule = field(default_factory=PhaseSchedule.guard)
 
     def __post_init__(self):
-        if not (self.l1 > 0.0 and self.l2 > 0.0):
-            raise ValueError(f"link lengths must be positive, got {self.l1}, {self.l2}")
         if not (math.isfinite(self.tc) and self.tc > 0.0):
             raise ValueError(f"tc must be finite and strictly positive, got {self.tc}")
         # n_samples > MAX_SAMPLES exactly when x_max / tc >= MAX_SAMPLES; the
@@ -498,6 +495,10 @@ class RangeViolation:
     hi: float
 
 
+def _violation(j, index, x, phase, angle, lo, hi) -> RangeViolation:
+    return RangeViolation(GaitPhase(phase), JOINT_KEYS[j], index, x, angle, lo, hi)
+
+
 @dataclass
 class ValidationReport:
     """Range-check result: the failing samples as parallel ``array`` columns
@@ -522,57 +523,32 @@ class ValidationReport:
         return self.failed == 0
 
     @property
-    def violations(self) -> "Violations":
+    def violations(self) -> ColumnRows:
         """The failing samples as RangeViolation items, in (joint, index) order."""
-        return Violations(self)
+        return ColumnRows(_violation, self.joint, self.index, self.x, self.phase,
+                          self.angle, self.lo, self.hi)
 
     def summary(self) -> str:
         if self.ok:
             return f"all {self.checked} checked samples within tabulated ranges"
         # a failing angle is below lo, above hi or NaN, so the larger of
-        # lo - a and a - hi is the one its comparison with lo picks
-        excess = [lo - a if a < lo else a - hi
-                  for a, lo, hi in zip(self.angle, self.lo, self.hi)]
-        # the first NaN (a NaN angle) is the worst, else the first of equal
+        # lo - a and a - hi is the one its comparison with lo picks; the
+        # first NaN (a NaN angle) is the worst, else the first of equal
         # excesses in (joint, index) order
-        w = next((i for i, e in enumerate(excess) if e != e), None)
-        if w is None:
-            w = excess.index(max(excess))
+        w, worst = 0, -math.inf
+        for i, (a, lo, hi) in enumerate(zip(self.angle, self.lo, self.hi)):
+            e = lo - a if a < lo else a - hi
+            if e != e:
+                w = i
+                break
+            if e > worst:
+                w, worst = i, e
         joint, phase = JOINT_KEYS[self.joint[w]], GaitPhase(self.phase[w])
         return (
             f"{self.failed} of {self.checked} checked samples out of "
             f"range (worst: {joint} {phase.name} x={self.x[w]:.4f} "
             f"angle={self.angle[w]:.3f} not in [{self.lo[w]:.4f}, {self.hi[w]:.4f}])"
         )
-
-
-class Violations(Sequence):
-    """Read-only sequence over a report's failing samples. Each RangeViolation
-    is built when it is read, so len() and indexing cost O(1); equal to any
-    sequence holding the same violations in the same order."""
-
-    def __init__(self, report: ValidationReport):
-        self._columns = (report.joint, report.index, report.x, report.phase,
-                         report.angle, report.lo, report.hi)
-
-    def __len__(self) -> int:
-        return len(self._columns[1])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        return self._item(*(c[i] for c in self._columns))
-
-    def __iter__(self):
-        for row in zip(*self._columns):
-            yield self._item(*row)
-
-    @staticmethod
-    def _item(j, index, x, phase, angle, lo, hi) -> RangeViolation:
-        return RangeViolation(GaitPhase(phase), JOINT_KEYS[j], index, x, angle, lo, hi)
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def validate_ranges(

@@ -85,14 +85,12 @@ def knn_classify(train: Dataset, k: int, query) -> int:
 # k-means
 # ---------------------------------------------------------------------------
 
-def kmeans(data, k: int, max_iter: int = 100, seed: int = 0,
-           return_history: bool = False):
+def kmeans(data, k: int, seed: int = 0, return_history: bool = False):
     """Lloyd iterations from a seeded k-means++ start.
 
     Returns (centroids, assignments), plus the per-iteration SSE when
     ``return_history`` is set. Iteration stops at an assignment fixpoint or
-    after ``max_iter`` rounds; the within-cluster SSE never increases along
-    the way.
+    after 100 rounds; the within-cluster SSE never increases along the way.
     """
     x = np.asarray(data, dtype=float)
     distinct = np.unique(x, axis=0)
@@ -119,7 +117,7 @@ def kmeans(data, k: int, max_iter: int = 100, seed: int = 0,
 
     assignments = np.full(len(x), -1)
     sse_history = []
-    for _ in range(max_iter):
+    for _ in range(100):
         d = np.linalg.norm(x[:, None, :] - centroids[None, :, :], axis=2)
         new_assign = np.argmin(d, axis=1)
         if np.array_equal(new_assign, assignments):

@@ -295,23 +295,17 @@ class RangeCheckOutcome:
         return self.status == "pass"
 
 
-def validation_bands() -> list[dict]:
-    return _rules()["validation"]
-
-
 def validate_against_ranges(response: PushResponse,
-                            observed_angles: Mapping[str, float],
-                            bands: list[dict] | None = None) -> RangeCheckOutcome:
+                            observed_angles: Mapping[str, float]) -> RangeCheckOutcome:
     """Check a response against the captured joint-angle bands.
 
     Finds the force band whose six intervals contain the observation and
     compares its expected strategy with the response's. Observations outside
     every band report "unmatched" rather than failing.
     """
-    bands = bands if bands is not None else validation_bands()
     if len(observed_angles) != 6:
         raise ValueError("expected one angle per joint (six values)")
-    for row in bands:
+    for row in _rules()["validation"]:
         hit = True
         for jkey, (a, b) in row["intervals"].items():
             lo, hi = min(a, b), max(a, b)

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, sin
 
-from .tables import write_rows
+from .tables import ColumnRows, write_rows
 
 
 class Mode(Enum):
@@ -73,35 +72,14 @@ class ImpactEvent:
 _MODES = (Mode.LEFT, Mode.RIGHT)  # a trace's mode column holds the index
 
 
-class BlockStates(Sequence):
-    """Read-only sequence over a trace's states. Each BlockState is built
-    when it is read, so len() and indexing cost O(1); equal to any sequence
-    holding the same states in the same order."""
-
-    def __init__(self, trace: BlockTrace):
-        self._columns = (trace.mode, trace.x1, trace.x2, trace.t)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        mode, x1, x2, t = (c[i] for c in self._columns)
-        return BlockState(_MODES[mode], x1, x2, t)
-
-    def __iter__(self):
-        for mode, x1, x2, t in zip(*self._columns):
-            yield BlockState(_MODES[mode], x1, x2, t)
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and list(self) == list(other)
+def _state(mode, x1, x2, t) -> BlockState:
+    return BlockState(_MODES[mode], x1, x2, t)
 
 
 @dataclass
 class BlockTrace:
     """Every recorded state as columns: time, mode index into ``_MODES``,
-    ``x1`` and ``x2``; :attr:`states` reads them as BlockStates."""
+    ``x1`` and ``x2``; :attr:`states` reads them back as BlockState records."""
     t: array
     mode: bytearray
     x1: array
@@ -110,8 +88,8 @@ class BlockTrace:
     status: str = "completed"  # or "at_rest"
 
     @property
-    def states(self) -> BlockStates:
-        return BlockStates(self)
+    def states(self) -> ColumnRows:
+        return ColumnRows(_state, self.mode, self.x1, self.x2, self.t)
 
     def write_csv(self, path) -> None:
         impact_times = {e.t for e in self.impacts}

@@ -1,7 +1,8 @@
 """The file formats of every verb: one CSV reader, one row writer (CSV and
 TSV) and one JSON writer. Numbers go out with six decimal places and text
-fields unquoted. Only the standard library is used, so the verbs that load
-no numpy can use it too.
+fields unquoted. :class:`ColumnRows` reads columnar results back as records.
+Only the standard library is used, so the verbs that load no numpy can use
+it too.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from typing import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 
 def read_csv(path, header: Sequence[str], labelled: bool = False) -> list[list]:
@@ -63,6 +64,30 @@ def write_rows(path, header: str | None, row_format: str, rows: Iterable[Sequenc
         if header is not None:
             fh.write(header + "\n")
         fh.writelines(line % tuple(row) for row in rows)
+
+
+class ColumnRows(Sequence):
+    """Read-only sequence of the records ``make(*row)`` over parallel
+    columns. Each record is built when it is read, so len() and indexing
+    cost O(1); equal to any sequence holding the same records in the same
+    order."""
+
+    def __init__(self, make: Callable, *columns: Sequence):
+        self._make, self._columns = make, columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return self._make(*(c[i] for c in self._columns))
+
+    def __iter__(self):
+        return map(self._make, *self._columns)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
 
 
 def _rounded(obj, digits: int):

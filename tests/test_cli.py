@@ -385,6 +385,12 @@ def test_push_json(capsys):
     assert doc["state"] == "not_fall"
 
 
+def test_push_dir_choices_are_the_directions_in_order():
+    from gaitforge import cli, push_fuzzy
+
+    assert list(cli.PUSH_DIRECTIONS) == [d.value for d in push_fuzzy.Direction]
+
+
 def test_push_beyond_envelope(capsys):
     assert run(["push", "--force", "13", "--dir", "left"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -321,6 +322,26 @@ def test_nan_angle_is_the_worst_sample():
     assert "worst: right_hip LR x=0.0334 angle=nan" in report.summary()
 
 
+def test_summary_of_a_million_violations_peaks_under_1_mb():
+    # one joint's column: every angle above hi, the worst at sample 700000
+    n = 1_000_000
+    column = array("d", [2.0]) * n
+    column[700_000] = 5.0
+    report = gm.ValidationReport(
+        checked=n, joint=array("B", bytes(n)), index=array("q", range(n)),
+        x=array("d", [0.5]) * n, phase=array("B", bytes(n)), angle=column,
+        lo=array("d", [0.0]) * n, hi=array("d", [1.0]) * n)
+    tracemalloc.start()
+    try:
+        summary = report.summary()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary == (f"{n} of {n} checked samples out of range (worst: left_hip LR "
+                       "x=0.5000 angle=5.000 not in [0.0000, 1.0000])")
+    assert peak < 1 << 20
+
+
 def test_initial_phase_interval_is_order_normalized():
     ranges = RangeTable.default()
     assert ranges.interval("initial_contact", "left_hip") == (-17.0965, -7.576)
@@ -450,6 +471,13 @@ def test_array_paths_match_scalar_reference(tc, schedule, cross_fade, constant):
     assert report.failed == len(violations)
     assert report.ok == (not violations)
     assert report.summary() == summary
+
+
+def test_report_violations_is_a_read_only_sequence(read_only_sequence):
+    traj = generate_gait_cycle(FieldBank.default(), GaitModelConfig(tc=1e-3))
+    ranges = RangeTable.default()
+    violations, _, _ = reference_validation(traj, ranges)
+    read_only_sequence(validate_ranges(traj, ranges).violations, violations)
 
 
 def test_write_tsv_bytes_match_per_value_formatting(tmp_path):

@@ -2,7 +2,9 @@
 libraries it runs, and none needs scipy. numpy costs most of a CLI call's
 start-up and scipy far more, so a stray import would slow every verb without
 failing anything else. ``push``, ``ca-predict``, ``simulate-block`` and
-``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy.
+``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy, and
+``ca-predict``, ``simulate-block`` and ``gen-gait`` do not load
+``gaitforge.push_fuzzy`` either.
 
 Every case runs in a fresh interpreter, since this test process has long
 since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
@@ -77,6 +79,16 @@ def test_verb_runs_without_numpy(argv, tmp_path):
 
     FieldBank.default().save(tmp_path / "bank.json")
     assert loaded_after(argv, tmp_path) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-gait", "--out", "cycle.tsv"],
+    ["simulate-block", "--t-end", "1", "--out", "trace.csv"],
+    ["ca-predict", "--init", "0101", "--n", "4"],
+])
+def test_verb_runs_without_push_fuzzy(argv, tmp_path):
+    probe = PROBE.replace('("numpy", "scipy")', '("gaitforge.push_fuzzy",)')
+    assert loaded_after(argv, tmp_path, probe) == set()
 
 
 @pytest.mark.parametrize("argv", [

@@ -127,7 +127,7 @@ def test_plot_data_bytes_match_per_value_formatting(tmp_path):
         for angle, velocity in gm.limit_cycle(traj, jkey).points:
             text += f"{angle:.6f},{velocity:.6f}\n"
         expected[f"limit_cycle_{jkey}.csv"] = text
-    geom = capture.TwoLinkGeometry(l1=config.l1, l2=config.l2)
+    geom = capture.TwoLinkGeometry(l1=gm.LINK_LENGTH, l2=gm.LINK_LENGTH)
     for side in ("left", "right"):
         hips = np.radians(traj.angles[f"{side}_hip"])
         knees = np.radians(traj.angles[f"{side}_knee"])
