@@ -271,16 +271,26 @@ def natural_spline(x, y, xs) -> np.ndarray:
     c3 = y[:-1]
 
     # PPoly: piece k holds x[k] <= xs < x[k+1], the last piece is closed and
-    # the end pieces extrapolate; powers are summed upward from 0.0 (so a
-    # -0.0 knot value comes out as 0.0), not by Horner
-    k = np.clip(np.searchsorted(x, xs, side="right") - 1, 0, n - 2)
-    h = xs - x[k]
-    res = 0.0 + c3[k] * 1.0
-    res += c2[k] * h
+    # the end pieces extrapolate. Over sorted points each piece holds one run,
+    # which starts at the first point not below its left knot; unsorted
+    # points are sorted first and their results put back in place
+    order = None
+    if not np.all(xs[:-1] <= xs[1:]):
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+    runs = np.diff(np.searchsorted(xs, x[1:-1], side="left"), prepend=0, append=len(xs))
+    # powers are summed upward from 0.0 (so a -0.0 knot value comes out as
+    # 0.0), not by Horner
+    h = xs - np.repeat(x[:-1], runs)
+    res = 0.0 + np.repeat(c3, runs) * 1.0
+    res += np.repeat(c2, runs) * h
     z = h * h
-    res += c1[k] * z
+    res += np.repeat(c1, runs) * z
     z *= h
-    res += c0[k] * z
+    res += np.repeat(c0, runs) * z
+    if order is not None:
+        sorted_res, res = res, np.empty_like(res)
+        res[order] = sorted_res
     return res
 
 
@@ -312,7 +322,8 @@ def load_accelerometer_csv(path) -> dict[str, TimeSeries]:
     first two timestamps (1.0 for a single row). Malformed rows raise with
     their line number (see :func:`gaitforge.tables.read_csv`).
     """
-    data = np.asarray(read_csv(path, ("t", "x", "y", "z")))
+    values, _ = read_csv(path, ("t", "x", "y", "z"))
+    data = np.array(values).reshape(-1, 4)
     dt = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 1.0
     if dt <= 0.0:
         dt = 1.0
@@ -329,5 +340,6 @@ def write_joint_angle_csv(path, t: Sequence[float], theta1_deg: Sequence[float],
 
 
 def load_joint_angle_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data = np.asarray(read_csv(path, ("t", "theta1_deg", "theta2_deg")))
+    values, _ = read_csv(path, ("t", "theta1_deg", "theta2_deg"))
+    data = np.array(values).reshape(-1, 3)
     return data[:, 0], data[:, 1], data[:, 2]

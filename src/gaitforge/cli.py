@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -506,6 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy's OpenBLAS starts a worker thread per further CPU, and an idle
+    # worker spins for about 0.1 s of CPU before it sleeps, by default. Set
+    # before any verb imports numpy, this makes idle workers sleep at once.
+    # The thread count, and so every result bit, stays the same.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     args = build_parser().parse_args(argv)
     try:
         _check_paths(args)

@@ -49,10 +49,10 @@ class Dataset:
     @classmethod
     def from_csv(cls, path) -> "Dataset":
         """Feature columns and a final ``label``; classes in order of first use."""
-        rows = read_csv(path, ("label",), labelled=True)
-        names = [row.pop() for row in rows]
+        values, names = read_csv(path, ("label",), labelled=True)
         class_names = tuple(dict.fromkeys(names))
-        return cls(np.asarray(rows), [class_names.index(n) for n in names], class_names)
+        return cls(np.array(values).reshape(len(names), -1),
+                   [class_names.index(n) for n in names], class_names)
 
 
 # ---------------------------------------------------------------------------

@@ -8,52 +8,129 @@ it too.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 
 
-def read_csv(path, header: Sequence[str], labelled: bool = False) -> list[list]:
-    """Data rows of a comma-separated file headed ``header``, as float lists.
+# Characters the one-pass reader parses at a time. A block is whole lines,
+# so one no longer than csv.field_size_limit() cannot hold an oversized field.
+_BLOCK_CHARS = 1 << 16
+
+
+def read_csv(path, header: Sequence[str],
+             labelled: bool = False) -> tuple[list[float], list[str]]:
+    """Data rows of a comma-separated file headed ``header``: their numbers
+    in one flat row-major list, and the label column ([] unless labelled).
 
     A ``labelled`` file (a dataset) need only end with the ``header`` columns
-    and keeps its last field as text. Blank lines are skipped. An empty file,
-    another header, a wrong field count, a field that is not a finite number
-    and no data rows raise ``ValueError("{path}: line N: ...")``.
+    and keeps its last field as text. Blank lines are skipped. Text that is
+    not UTF-8, an empty file, another header, a wrong field count, an
+    oversized field, a field that is not a finite number and no data rows
+    raise ``ValueError("{path}: line N: ...")``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+    del data
+    return _read_plain(text, header, labelled) or _read_rows(path, text, header, labelled)
 
-        def bad(problem):
-            return ValueError(f"{path}: line {reader.line_num}: {problem}")
 
+def _header_matches(names: list[str], header: Sequence[str], labelled: bool) -> bool:
+    """Whether a file's column ``names`` are ``header``, or end with it if ``labelled``."""
+    return (names[-len(header):] if labelled else names) == list(header)
+
+
+def _read_plain(text: str, header: Sequence[str],
+                labelled: bool) -> tuple[list[float], list[str]] | None:
+    """One pass over text with no quotes, no carriage returns, no blank
+    lines and the same field count on every line; None for any other text,
+    or for any field that is not a finite number, which :func:`_read_rows`
+    then reads or rejects with its line number."""
+    if '"' in text or "\r" in text:
+        return None
+    head_end = text.find("\n")
+    if head_end < 0:
+        return None
+    names = [name.strip() for name in text[:head_end].split(",")]
+    if not _header_matches(names, header, labelled):
+        return None
+    width = len(names)
+    commas = width - 1
+    stop = len(text) - 1 if text.endswith("\n") else len(text)
+    pos = head_end + 1
+    if pos >= stop:
+        return None
+    limit = csv.field_size_limit()
+    values, labels = [], []
+    while pos < stop:
+        end = text.find("\n", pos + _BLOCK_CHARS, stop)
+        if end < 0:
+            end = stop
+        block = text[pos:end]
+        lines = block.split("\n")
+        # an empty line is one field to split() and none to the csv module
+        if len(block) > limit or "" in lines or any(line.count(",") != commas for line in lines):
+            return None
+        fields = ",".join(lines).split(",")
+        if labelled:
+            labels += fields[commas::width]
+            del fields[commas::width]
+        try:
+            numbers = list(map(float, fields))
+        except ValueError:
+            return None
+        if not all(map(math.isfinite, numbers)):
+            return None
+        values += numbers
+        pos = end + 1
+    return values, labels
+
+
+def _read_rows(path, text: str, header: Sequence[str],
+               labelled: bool) -> tuple[list[float], list[str]]:
+    """:func:`read_csv` row by row through the csv module, which names the
+    line of the first fault."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+
+    def bad(problem):
+        return ValueError(f"{path}: line {reader.line_num}: {problem}")
+
+    try:
         first = next(reader, None)
         if first is None:
             raise ValueError(f"{path}: line 1: empty file")
         names = [name.strip() for name in first]
-        if (names[-len(header):] if labelled else names) != list(header):
+        if not _header_matches(names, header, labelled):
             want = f"a final {header[-1]!r} column" if labelled else f"header {','.join(header)!r}"
             raise bad(f"expected {want}, got {','.join(names)!r}")
         width = len(names)
         numeric = width - 1 if labelled else width
-        rows = []
+        values, labels = [], []
         for row in reader:
             if len(row) != width:
                 if not "".join(row).strip():
                     continue
                 raise bad(f"expected {width} fields, got {len(row)}")
             try:
-                values = list(map(float, row[:numeric]))
+                numbers = list(map(float, row[:numeric]))
             except ValueError:
                 raise bad(f"non-numeric field in {','.join(row)!r}") from None
-            if not all(map(math.isfinite, values)):
+            if not all(map(math.isfinite, numbers)):
                 raise bad(f"non-finite value in {','.join(row)!r}")
+            values += numbers
             if labelled:
-                values.append(row[-1])
-            rows.append(values)
-    if not rows:
+                labels.append(row[-1])
+    except csv.Error as exc:
+        raise bad(str(exc)) from None
+    if not values and not labels:
         raise ValueError(f"{path}: line 2: no data rows")
-    return rows
+    return values, labels
 
 
 def write_rows(path, header: str | None, row_format: str, rows: Iterable[Sequence]) -> None:

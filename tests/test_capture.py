@@ -266,12 +266,18 @@ def test_natural_spline_equals_scipy_bit_for_bit(n, spacing, exponent, zeros, se
     if zeros:
         y[rng.integers(0, n, 2)] = [0.0, -0.0]
     span = x[-1] - x[0]
-    # the knots themselves, points between them and points outside them
-    xs = np.concatenate([x, rng.uniform(x[0] - span, x[-1] + span, 64)])
-    got = natural_spline(x, y, xs)
-    want = CubicSpline(x, y, bc_type="natural")(xs)
-    # int64 views tell 0.0 from -0.0
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the knots themselves and repeats of them, points between the knots,
+    # some repeated, and points beyond both ends
+    between = rng.uniform(x[0] - span, x[-1] + span, 64)
+    xs = np.concatenate([x, between, x[rng.integers(0, n, 8)], between[:8],
+                         [x[0] - 2.0 * span, x[-1] + 2.0 * span]])
+    spline = CubicSpline(x, y, bc_type="natural")
+    # unsorted points take the argsort path, sorted ones the run path
+    for points in (xs, np.sort(xs)):
+        got = natural_spline(x, y, points)
+        want = spline(points)
+        # int64 views tell 0.0 from -0.0
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_natural_spline_sums_from_positive_zero_as_scipy_does():

@@ -4,7 +4,8 @@ start-up and scipy far more, so a stray import would slow every verb without
 failing anything else. ``push``, ``ca-predict``, ``simulate-block`` and
 ``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy, and
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` do not load
-``gaitforge.push_fuzzy`` either.
+``gaitforge.push_fuzzy`` either. A verb that loads numpy loads it with
+``OPENBLAS_THREAD_TIMEOUT`` set, to 4 unless the caller set it.
 
 Every case runs in a fresh interpreter, since this test process has long
 since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
@@ -33,15 +34,19 @@ print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy")
 """
 
 
-def loaded_after(argv, cwd, probe=PROBE):
-    env = dict(os.environ)
+def probe_result(argv, cwd, probe=PROBE, env=None):
+    env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["rc"] == 0, done.stderr
-    return set(result["loaded"])
+    return result
+
+
+def loaded_after(argv, cwd, probe=PROBE):
+    return set(probe_result(argv, cwd, probe)["loaded"])
 
 
 def write_inputs(base: Path) -> None:
@@ -107,3 +112,28 @@ def test_verb_runs_without_push_fuzzy(argv, tmp_path):
 def test_verb_runs_without_scipy(argv, tmp_path):
     write_inputs(tmp_path)
     assert "scipy" not in loaded_after(argv, tmp_path)
+
+
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it; the spy
+# records the variable at that moment
+BLAS_PROBE = PROBE.replace("from gaitforge import cli", """import os
+seen = []
+
+class NumpyImportSpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, NumpyImportSpy())
+from gaitforge import cli""").replace('"rc": rc,', '"rc": rc, "seen": seen,')
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "4"), ("28", "28")])
+def test_numpy_verbs_load_openblas_with_a_short_idle_spin(preset, seen, tmp_path):
+    write_inputs(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    result = probe_result(["features", "--in", "angles.csv", "--out", "features.csv"],
+                          tmp_path, BLAS_PROBE, env)
+    assert result["seen"] == [seen]

@@ -1,18 +1,24 @@
 """The shared file-format layer: every reader's line-numbered rejections,
-reached through the verbs that read, and byte equality of every writer with
-the per-value f-string writers it replaced (kept inline here as references).
+reached through the verbs that read, the one-pass reader's agreement with a
+plain csv-module loop, and byte equality of every writer with the per-value
+f-string writers it replaced (the loop and the writers are kept inline here
+as references).
 """
 
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gaitforge import capture, features
 from gaitforge import gait_model as gm
 from gaitforge.cli import main
 from gaitforge.rocking_block import BlockParams, BlockState, Mode, simulate
-from gaitforge.tables import write_json
+from gaitforge.tables import read_csv, write_json
 
 # ---------------------------------------------------------------------------
 # readers
@@ -38,6 +44,11 @@ CASES = {
     "field count": (lambda ok: [ok, ok + ",0.0"], 3, "expected {n} fields, got {more}"),
     "blank lines": (lambda ok: [ok, "", ok, "  ", first_field(ok, "oops")], 6,
                     "non-numeric field"),
+    # a finite number, so only the field's length is at fault
+    "oversized field": (lambda ok: [ok, first_field(ok, "0" * 200_000)], 3,
+                        "field larger than field limit (131072)"),
+    # surrogate escapes stand for the raw bytes 0xff 0xfe
+    "not UTF-8": (lambda ok: [ok, ok, first_field(ok, "\udcff\udcfe")], 4, "not UTF-8 text"),
 }
 
 
@@ -47,7 +58,7 @@ def test_reader_rejects_with_line_number(verb, case, tmp_path, capsys):
     header, ok = READERS[verb]
     lines, lineno, problem = CASES[case]
     bad = tmp_path / "in.csv"
-    bad.write_text("\n".join([header] + lines(ok)) + "\n")
+    bad.write_bytes(("\n".join([header] + lines(ok)) + "\n").encode("utf-8", "surrogateescape"))
     out = tmp_path / "out"
     if verb == "classify":
         argv = ["classify", "--train", str(bad), "--test", str(bad), "--out", str(out)]
@@ -60,6 +71,119 @@ def test_reader_rejects_with_line_number(verb, case, tmp_path, capsys):
     assert err.startswith(f"error: {bad}: line {lineno}: {problem}"), err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def csv_module_rows(path, header, labelled=False):
+    """The reader as a plain csv-module loop, one row at a time: the
+    reference the one-pass reader must agree with."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+
+        def bad(problem):
+            return ValueError(f"{path}: line {reader.line_num}: {problem}")
+
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}: line 1: empty file")
+        names = [name.strip() for name in first]
+        if (names[-len(header):] if labelled else names) != list(header):
+            want = f"a final {header[-1]!r} column" if labelled else f"header {','.join(header)!r}"
+            raise bad(f"expected {want}, got {','.join(names)!r}")
+        width = len(names)
+        numeric = width - 1 if labelled else width
+        rows = []
+        for row in reader:
+            if len(row) != width:
+                if not "".join(row).strip():
+                    continue
+                raise bad(f"expected {width} fields, got {len(row)}")
+            try:
+                values = list(map(float, row[:numeric]))
+            except ValueError:
+                raise bad(f"non-numeric field in {','.join(row)!r}") from None
+            if not all(map(math.isfinite, values)):
+                raise bad(f"non-finite value in {','.join(row)!r}")
+            if labelled:
+                values.append(row[-1])
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: line 2: no data rows")
+    return rows
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.floats(-1e3, 1e3).map("{:.6f}".format))
+NUMBERS = st.one_of(FINITE, st.sampled_from(["nan", "-inf", "inf", "1e400", "-1e400", "1_0",
+                                             " 2.5 ", "x", "", '"3.5"', '"4,5"']))
+WORDS = st.text("abcxyz", min_size=1, max_size=4)
+TEXT = st.one_of(WORDS, st.sampled_from([" b", "", '"c"', '"d,e"', '"f""g"']),
+                 st.text(st.characters(codec="utf-8"), max_size=3))
+
+
+@st.composite
+def csv_files(draw):
+    """(text, header, labelled): numeric or labelled tables, half of them
+    well-formed and the rest with quotes, CRLF or CR line ends, blank lines,
+    miscounted lines and non-finite values mixed in."""
+    labelled = draw(st.booleans())
+    numeric = draw(st.integers(0 if labelled else 1, 3))
+    names = [f"f{i}" for i in range(numeric)] + ["label"] * labelled
+    clean = draw(st.booleans())
+    kinds = ["row"] if clean else ["row", "row", "row", "blank", "miscounted pair"]
+    numbers, labels = (FINITE, WORDS) if clean else (NUMBERS, TEXT)
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", ",", " , "])))
+            continue
+        widths = [numeric] if kind == "row" else [numeric + 1, max(numeric - 1, 0)]
+        for n in widths:
+            lines.append(",".join(draw(st.lists(numbers, min_size=n, max_size=n))
+                                  + [draw(labels)] * labelled))
+    ends = "\n" if clean else draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    text = ""
+    for line in lines:
+        text += line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+    if draw(st.booleans()):
+        text = text[:-1]
+    return text, ("label",) if labelled else tuple(names), labelled
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=csv_files())
+@example(case=('t,x\n1.5,"2"\n', ("t", "x"), False))
+@example(case=('f0,label\n1.5,"a"\n', ("label",), True))
+@example(case=("t,x\r\n1.5,2\r\n3,4\r\n", ("t", "x"), False))
+@example(case=("t,x\r1.5,2\r3,4", ("t", "x"), False))
+@example(case=("t,x\n1,2\n\n  \n3,4\n\n", ("t", "x"), False))
+@example(case=("t,x\n1,2,3\n4\n", ("t", "x"), False))
+@example(case=("t,x\n1,2\nnan,1\n", ("t", "x"), False))
+@example(case=("t,x\n1,inf\n", ("t", "x"), False))
+@example(case=("t,x\n1e400,1\n", ("t", "x"), False))
+@example(case=("f0,label\n1,a\n2, b\n3,\n", ("label",), True))
+@example(case=("label\na\n\nb\n", ("label",), True))
+# long enough for several blocks of the one-pass reader, then a fault at the end
+@example(case=("t,x\n" + "".join(f"{i}.5,-{i % 7}e-3\n" for i in range(12000)), ("t", "x"), False))
+@example(case=("t,x\n" + "".join(f"{i}.5,{i % 7}\n" for i in range(12000)) + "1,nan\n",
+               ("t", "x"), False))
+def test_one_pass_reader_agrees_with_the_csv_module(case, tmp_path):
+    text, header, labelled = case
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        rows = csv_module_rows(path, header, labelled)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_csv(path, header, labelled)
+        assert str(got.value) == str(exc)
+        return
+    values, labels = read_csv(path, header, labelled)
+    numbers = [v for row in rows for v in (row[:-1] if labelled else row)]
+    # repr tells 0.0 from -0.0
+    assert list(map(repr, values)) == list(map(repr, numbers))
+    assert labels == [row[-1] for row in rows if labelled]
 
 
 # ---------------------------------------------------------------------------
