@@ -9,13 +9,13 @@ one applies.
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
-the rest load numpy. No verb needs scipy.
+without ``dataclasses`` or ``inspect`` either; the rest load numpy, and
+report a missing input before they do. No verb needs scipy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -27,7 +27,7 @@ from .fixtures import fixture_path
 from .tables import json_text, write_json, write_rows
 
 if TYPE_CHECKING:
-    from . import gait_model, learn
+    from . import gait_model
 
 
 class InputError(Exception):
@@ -38,12 +38,14 @@ class InputError(Exception):
     """
 
 
-def _read_input(path, reader):
-    """``reader(path)``, with a missing file reported as ``input not found``."""
-    try:
-        return reader(path)
-    except FileNotFoundError:
-        raise InputError(f"input not found: {path}") from None
+def _open_inputs(*paths) -> None:
+    """Open and close each input path, so that a missing one is reported as
+    ``input not found`` before the verb loads numpy or reads anything."""
+    for path in paths:
+        try:
+            open(path, "rb").close()
+        except FileNotFoundError:
+            raise InputError(f"input not found: {path}") from None
 
 
 def _at_least_one(option: str, value: int) -> None:
@@ -72,8 +74,9 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
 
     if path is None:
         return gait_model.FieldBank.default()
+    _open_inputs(path)
     try:
-        bank = _read_input(path, gait_model.FieldBank.from_json)
+        bank = gait_model.FieldBank.from_json(path)
         bank.require_complete()
     except (ValueError, gait_model.MissingFieldError) as exc:
         raise InputError(f"{path}: malformed model bank: {exc}") from exc
@@ -152,12 +155,13 @@ def cmd_ca_predict(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    _at_least_one("--knot-stride", args.knot_stride)
+    _open_inputs(args.infile)
     import numpy as np
 
     from . import capture
 
-    _at_least_one("--knot-stride", args.knot_stride)
-    series = _read_input(args.infile, capture.load_accelerometer_csv)
+    series = capture.load_accelerometer_csv(args.infile)
     xs, ys = series["x"], series["y"]
     if args.zero_correct:
         xs, ys = capture.zero_correct(xs), capture.zero_correct(ys)
@@ -193,14 +197,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_features(args) -> int:
-    from . import capture, features
-
     # both go into every row unquoted
     for option, value in (("--label", args.label), ("--subject", args.subject)):
         if set(value) & set(',"\r\n'):
             raise InputError(f"{option}: {value!r} may not contain , \" CR or LF")
     _at_least_one("--max-imfs", args.max_imfs)
-    t, th1, th2 = _read_input(args.infile, capture.load_joint_angle_csv)
+    _open_inputs(args.infile)
+    from . import capture, features
+
+    t, th1, th2 = capture.load_joint_angle_csv(args.infile)
     rows = []
     for joint, series in (("theta1", th1), ("theta2", th2)):
         try:
@@ -231,12 +236,6 @@ def _metrics_report(cm, per_class, error, class_names) -> dict:
     }
 
 
-def _load_dataset(path) -> learn.Dataset:
-    from . import learn
-
-    return _read_input(path, learn.Dataset.from_csv)
-
-
 def _parse_layers(text: str | None):
     if text is None:
         return None
@@ -249,19 +248,23 @@ def _parse_layers(text: str | None):
     return layers
 
 
-def _make_trainer(args, method: str):
-    """The ``method`` trainer. Every trainer option is checked, also those
-    the method ignores, so an argv's exit status does not hang on
-    ``--method``; callers make the trainer before reading any input."""
-    from . import learn
-
+def _check_trainer_options(args) -> tuple[int, ...] | None:
+    """Check every trainer option, also those the method ignores, so an
+    argv's exit status does not hang on ``--method``; return the parsed
+    ``--layers``. Callers check before they open any input."""
     _at_least_one("--k", args.k)
     _at_least_one("--epochs", args.epochs)
     if not (math.isfinite(args.eta) and args.eta > 0.0):
         raise InputError(f"--eta: must be finite and positive, got {args.eta}")
     if args.seed < 0:
         raise InputError(f"--seed: must be >= 0, got {args.seed}")
-    layers = _parse_layers(args.layers)
+    return _parse_layers(args.layers)
+
+
+def _make_trainer(args, method: str, layers: tuple[int, ...] | None):
+    """The ``method`` trainer from checked options."""
+    from . import learn
+
     if method == "knn":
         return learn.knn_trainer(args.k)
     return learn.mlp_trainer(layers, eta=args.eta, epochs=args.epochs, seed=args.seed)
@@ -279,13 +282,15 @@ def _weight_limit():
 
 
 def cmd_classify(args) -> int:
+    layers = _check_trainer_options(args)
+    _open_inputs(args.train, args.test)
     import numpy as np
 
     from . import learn
 
-    trainer = _make_trainer(args, args.method)
-    train = _load_dataset(args.train)
-    test = _load_dataset(args.test)
+    trainer = _make_trainer(args, args.method, layers)
+    train = learn.Dataset.from_csv(args.train)
+    test = learn.Dataset.from_csv(args.test)
     if train.class_names != test.class_names:
         # align test labels onto the training class order
         mapping = {name: i for i, name in enumerate(train.class_names)}
@@ -307,15 +312,18 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    from . import learn
-
     if args.folds < 2:
         raise InputError(f"--folds: must be >= 2, got {args.folds}")
-    trainer = _make_trainer(args, args.method)
-    base_trainer = _make_trainer(args, args.baseline) if args.baseline else None
-    data = _load_dataset(args.data) if args.data is not None else learn.Dataset.from_csv(
-        fixture_path("synthetic_gait_features.csv")
-    )
+    layers = _check_trainer_options(args)
+    path = fixture_path("synthetic_gait_features.csv") if args.data is None else args.data
+    _open_inputs(path)
+    import dataclasses
+
+    from . import learn
+
+    trainer = _make_trainer(args, args.method, layers)
+    base_trainer = _make_trainer(args, args.baseline, layers) if args.baseline else None
+    data = learn.Dataset.from_csv(path)
     with _weight_limit():
         result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
         baseline = (None if base_trainer is None else
@@ -352,9 +360,7 @@ def cmd_push(args) -> int:
 
 
 def cmd_plot_data(args) -> int:
-    import numpy as np
-
-    from . import capture, features, gait_model
+    from . import gait_model
 
     config = _gait_config(args)
     # limit_cycle needs 3 samples and emd_decompose 4: fail before the
@@ -366,6 +372,10 @@ def cmd_plot_data(args) -> int:
         )
     _at_least_one("--frame-stride", args.frame_stride)
     bank = _load_bank(args.model_bank)
+    import numpy as np
+
+    from . import capture, features
+
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     traj = gait_model.generate_gait_cycle(bank, config)

@@ -11,11 +11,11 @@ other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 
 from .fixtures import fixture_path
+from .records import FrozenRecord
 
 # Longest sequence predict_sequence builds; its states hold about 88 bytes each.
 MAX_STEPS = 1_000_000
@@ -39,15 +39,15 @@ class SubPhase(IntEnum):
     TSW = 7   # terminal swing
 
 
-@dataclass(frozen=True)
-class CAState:
+class CAState(FrozenRecord):
     """One leg's 4-bit gait-state code."""
 
-    code: int
+    __slots__ = ("code",)
 
-    def __post_init__(self):
-        if not 0 <= self.code <= 15:
-            raise ValueError(f"code must be a 4-bit value, got {self.code}")
+    def __init__(self, code: int):
+        if not 0 <= code <= 15:
+            raise ValueError(f"code must be a 4-bit value, got {code}")
+        self._set(code)
 
     @property
     def leg(self) -> Leg:

@@ -21,12 +21,12 @@ import math
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import groupby
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .fixtures import fixture_path
+from .records import FrozenRecord, Record
 from .tables import ColumnRows, write_json, write_rows
 
 if TYPE_CHECKING:
@@ -80,20 +80,19 @@ class SingularFitError(ValueError):
     """The least-squares normal system is rank deficient."""
 
 
-@dataclass(frozen=True)
-class PhaseSchedule:
+class PhaseSchedule(FrozenRecord):
     """Seven strictly increasing phase-end coordinates; the last one is the
     cycle length."""
 
-    boundaries: tuple[float, ...]
+    __slots__ = ("boundaries",)
 
-    def __post_init__(self):
-        b = tuple(float(v) for v in self.boundaries)
+    def __init__(self, boundaries: tuple[float, ...]):
+        b = tuple(float(v) for v in boundaries)
         if len(b) != 7:
             raise ValueError(f"expected 7 boundaries, got {len(b)}")
         if b[0] <= 0.0 or any(hi <= lo for lo, hi in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing and positive")
-        object.__setattr__(self, "boundaries", b)
+        self._set(b)
 
     @property
     def x_max(self) -> float:
@@ -151,45 +150,41 @@ def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
 
 
 def _phase_runs(grid: array, schedule: PhaseSchedule) -> list[tuple[int, int, int]]:
-    """``(phase ordinal, start, stop)`` slices of an increasing grid, in order.
+    """``(phase ordinal, start, stop)`` slices of an increasing grid in
+    ``[0, x_max]``, in order.
 
     Phase k owns the coordinates in ``(b[k-1], b[k]]``, so its slice ends
     where ``bisect_right`` puts ``b[k]``: the ordinals :func:`phases_of`
-    gives. A grid point past the cycle end (``floor(x_max / tc) * tc`` can
-    round above ``x_max``) wraps as there, in a slice of its own.
+    gives.
     """
     runs, start = [], 0
     for k, b in enumerate(schedule.boundaries):
         stop = bisect_right(grid, b)
         runs.append((k, start, stop))
         start = stop
-    runs += [(k, i, i + 1) for i, k in enumerate(phases_of(grid[start:], schedule), start)]
     return runs
 
 
-@dataclass(frozen=True)
-class PolynomialVectorField:
+class PolynomialVectorField(FrozenRecord):
     """Polynomial joint-angle field for one (joint, phase) pair.
 
     Coefficients are ordered highest degree first. `error_offset` is the
     tabulated constant correction (degrees) added on top of the polynomial.
     """
 
-    coefficients: tuple[float, ...]
-    error_offset: float = 0.0
-    valid_interval: tuple[float, float] = (0.0, CYCLE_LENGTH)
+    __slots__ = ("coefficients", "error_offset", "valid_interval")
 
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[float, ...], error_offset: float = 0.0,
+                 valid_interval: tuple[float, float] = (0.0, CYCLE_LENGTH)):
+        coeffs = tuple(float(c) for c in coefficients)
         if not 3 <= len(coeffs) <= 5:
             raise ValueError("degree must be between 2 and 4")
-        if not all(map(math.isfinite, coeffs + (float(self.error_offset),))):
+        if not all(map(math.isfinite, coeffs + (float(error_offset),))):
             raise ValueError("coefficients and error offset must be finite")
-        lo, hi = (float(v) for v in self.valid_interval)
+        lo, hi = (float(v) for v in valid_interval)
         if not (hi > lo and 0.0 <= lo and hi <= CYCLE_LENGTH):
             raise ValueError(f"invalid interval [{lo}, {hi}]")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "valid_interval", (lo, hi))
+        self._set(coeffs, error_offset, (lo, hi))
 
     @property
     def degree(self) -> int:
@@ -238,23 +233,21 @@ def _grid_values(vf: PolynomialVectorField, xs):
     return ((((a * x + b) * x + c) * x + d) * x + e + off for x in xs)
 
 
-@dataclass(frozen=True)
-class GaitModelConfig:
+class GaitModelConfig(FrozenRecord):
     """Sampling parameters of the walking model: the grid step `tc` and the
-    phase schedule."""
+    phase schedule (the guard preset unless given)."""
 
-    tc: float = DEFAULT_TC
-    schedule: PhaseSchedule = field(default_factory=PhaseSchedule.guard)
+    __slots__ = ("tc", "schedule")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.tc) and self.tc > 0.0):
-            raise ValueError(f"tc must be finite and strictly positive, got {self.tc}")
+    def __init__(self, tc: float = DEFAULT_TC, schedule: PhaseSchedule | None = None):
+        schedule = schedule or PhaseSchedule.guard()
+        if not (math.isfinite(tc) and tc > 0.0):
+            raise ValueError(f"tc must be finite and strictly positive, got {tc}")
         # n_samples > MAX_SAMPLES exactly when x_max / tc >= MAX_SAMPLES; the
         # ratio may be inf, which floor() cannot take
-        if self.schedule.x_max / self.tc >= MAX_SAMPLES:
-            raise ValueError(
-                f"tc {self.tc} needs more than {MAX_SAMPLES} samples per cycle"
-            )
+        if schedule.x_max / tc >= MAX_SAMPLES:
+            raise ValueError(f"tc {tc} needs more than {MAX_SAMPLES} samples per cycle")
+        self._set(tc, schedule)
 
     @property
     def n_samples(self) -> int:
@@ -332,8 +325,7 @@ class FieldBank:
         return cls.from_json(fixture_path("tables_5_1_to_5_6.json"))
 
 
-@dataclass(frozen=True)
-class BoundaryGap:
+class BoundaryGap(NamedTuple):
     """C0 mismatch between adjacent phase fields at one boundary."""
 
     x: float
@@ -342,17 +334,19 @@ class BoundaryGap:
     gaps: Mapping[str, float]  # joint key -> |f_from(x) - f_to(x)|
 
 
-@dataclass
-class JointTrajectorySet:
+class JointTrajectorySet(Record):
     """Six joint-angle sequences sampled on a shared cycle grid, as
-    ``array("d")`` columns."""
+    ``array("d")`` columns: the grid ``x`` (strictly increasing, step
+    ``tc``), ``angles`` in degrees by joint key, and ``phases``, an
+    ``array("B")`` of one GaitPhase ordinal per grid point."""
 
-    x: array                           # grid, strictly increasing, step tc
-    angles: dict[str, array]           # joint key -> degrees
-    phases: array                      # array("B"): GaitPhase ordinal per grid point
-    tc: float
-    schedule: PhaseSchedule
-    boundary_report: list[BoundaryGap] = field(default_factory=list)
+    __slots__ = ("x", "angles", "phases", "tc", "schedule", "boundary_report")
+
+    def __init__(self, x: array, angles: dict[str, array], phases: array, tc: float,
+                 schedule: PhaseSchedule, boundary_report: list[BoundaryGap] | None = None):
+        self.x, self.angles, self.phases = x, angles, phases
+        self.tc, self.schedule = tc, schedule
+        self.boundary_report = [] if boundary_report is None else boundary_report
 
     def __len__(self) -> int:
         return len(self.x)
@@ -383,6 +377,9 @@ def generate_gait_cycle(
     schedule = config.schedule
     tc = config.tc
     grid = array("d", [i * tc for i in range(config.n_samples)])
+    # floor(x_max / tc) * tc can round above x_max (as at tc = 1.6 / 75); that
+    # point is the cycle end, and takes the last phase as an exact grid does
+    grid[-1] = min(grid[-1], schedule.x_max)
     runs = _phase_runs(grid, schedule)
     phases = array("B")
     for k, start, stop in runs:
@@ -484,8 +481,7 @@ class RangeTable:
         return cls.from_json(fixture_path("joint_ranges.json"))
 
 
-@dataclass(frozen=True)
-class RangeViolation:
+class RangeViolation(NamedTuple):
     phase: GaitPhase
     joint: str
     index: int
@@ -499,20 +495,19 @@ def _violation(j, index, x, phase, angle, lo, hi) -> RangeViolation:
     return RangeViolation(GaitPhase(phase), JOINT_KEYS[j], index, x, angle, lo, hi)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Record):
     """Range-check result: the failing samples as parallel ``array`` columns
     in (joint, sample index) order. `joint` holds positions in JOINT_KEYS,
-    `phase` GaitPhase ordinals, `lo`/`hi` the interval each sample missed."""
+    `phase` GaitPhase ordinals, `lo`/`hi` the interval each sample missed.
+    `joint` and `phase` are ``array("B")``, `index` ``array("q")`` and the
+    rest ``array("d")``."""
 
-    checked: int
-    joint: array   # "B"
-    index: array   # "q"
-    x: array       # "d", as are angle, lo and hi
-    phase: array   # "B"
-    angle: array
-    lo: array
-    hi: array
+    __slots__ = ("checked", "joint", "index", "x", "phase", "angle", "lo", "hi")
+
+    def __init__(self, checked: int, joint: array, index: array, x: array,
+                 phase: array, angle: array, lo: array, hi: array):
+        self.checked, self.joint, self.index, self.x = checked, joint, index, x
+        self.phase, self.angle, self.lo, self.hi = phase, angle, lo, hi
 
     @property
     def failed(self) -> int:
@@ -597,8 +592,7 @@ def validate_ranges(
 # Phase portrait / limit cycle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitCycle:
+class LimitCycle(NamedTuple):
     """Phase portrait of one joint: (angle, angular velocity) pairs."""
 
     points: np.ndarray  # shape (n, 2)

@@ -14,12 +14,12 @@ envelope and signal recovery-impossible instead of classifying as a fall.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .fixtures import fixture_path
+from .records import FrozenRecord
 
 
 class Direction(Enum):
@@ -66,20 +66,20 @@ class NoDecision(ValueError):
     """Every reaction degree is zero; no rule fires."""
 
 
-@dataclass(frozen=True)
-class ForceInput:
+class ForceInput(FrozenRecord):
     """A push: magnitude in Newtons plus a crisp direction.
 
     A mapping of per-direction degrees in [0, 1] is accepted instead of a
     crisp direction, e.g. to describe a diagonal push exciting both axes.
     """
 
-    magnitude: float
-    direction: Direction | Mapping[Direction, float]
+    __slots__ = ("magnitude", "direction")
 
-    def __post_init__(self):
-        if not self.magnitude >= 0.0:
+    def __init__(self, magnitude: float,
+                 direction: Direction | Mapping[Direction, float]):
+        if not magnitude >= 0.0:
             raise ValueError("force magnitude must be finite and >= 0")
+        self._set(magnitude, direction)
 
     def direction_degrees(self) -> dict[Direction, float]:
         if isinstance(self.direction, Direction):
@@ -93,29 +93,26 @@ class ForceInput:
         return degrees
 
 
-@dataclass(frozen=True)
-class ReactionMembership:
+class ReactionMembership(FrozenRecord):
     """Degrees of the six reaction terms, each in [0, 1]."""
 
-    small_roll: float = 0.0
-    average_roll: float = 0.0
-    large_roll: float = 0.0
-    small_pitch: float = 0.0
-    average_pitch: float = 0.0
-    large_pitch: float = 0.0
+    __slots__ = REACTION_KEYS
 
-    def __post_init__(self):
-        for key in REACTION_KEYS:
-            v = getattr(self, key)
+    def __init__(self, small_roll: float = 0.0, average_roll: float = 0.0,
+                 large_roll: float = 0.0, small_pitch: float = 0.0,
+                 average_pitch: float = 0.0, large_pitch: float = 0.0):
+        degrees = (small_roll, average_roll, large_roll,
+                   small_pitch, average_pitch, large_pitch)
+        for key, v in zip(REACTION_KEYS, degrees):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{key} degree {v} outside [0, 1]")
+        self._set(*degrees)
 
     def as_dict(self) -> dict[str, float]:
         return {key: getattr(self, key) for key in REACTION_KEYS}
 
 
-@dataclass(frozen=True)
-class PushResponse:
+class PushResponse(NamedTuple):
     reaction: ReactionMembership
     strategy: Strategy
     fell: bool                            # the fall/no-fall verdict
@@ -284,8 +281,7 @@ def lookup_strategy(magnitude: float, reaction_description) -> Strategy:
     )
 
 
-@dataclass(frozen=True)
-class RangeCheckOutcome:
+class RangeCheckOutcome(NamedTuple):
     status: str                      # "pass" | "mismatch" | "unmatched"
     band: str | None = None
     expected: Strategy | None = None

@@ -1,0 +1,57 @@
+"""Bases of the records that check their fields or stay mutable.
+
+A record names its fields in ``__slots__``, in constructor order, and sets
+them in ``__init__``. As a dataclass would, it prints as
+``Name(field=value, ...)`` and equals a record of its own class with equal
+fields. A :class:`FrozenRecord` also hashes by its fields and refuses
+assignment, so its ``__init__`` sets them with :meth:`FrozenRecord._set`.
+Immutable records with no checks are ``typing.NamedTuple`` classes instead.
+Neither uses ``dataclasses``: importing it (and ``inspect`` with it) and
+generating each class's methods took about a third of what the numpy-free
+verbs spent starting up past the interpreter's own start.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """A mutable record: unhashable, like a dataclass with ``eq``."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+
+class FrozenRecord(Record):
+    """An immutable record, like a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which runs the checks
+        return type(self), self._values()

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, sin
+from typing import NamedTuple
 
+from .records import FrozenRecord, Record
 from .tables import ColumnRows, write_rows
 
 
@@ -38,32 +39,31 @@ class ZenoError(RuntimeError):
     """Impact count exceeded the chattering guard."""
 
 
-@dataclass(frozen=True)
-class BlockParams:
-    alpha: float          # block half-angle, radians
-    r: float = 1.0        # restitution coefficient
-    dt: float = 1e-3      # integrator step, seconds
-    restoring_sign: bool = False
+class BlockParams(FrozenRecord):
+    """``alpha`` is the block half-angle in radians, ``r`` the restitution
+    coefficient and ``dt`` the integrator step in seconds."""
 
-    def __post_init__(self):
-        if not 0.0 < self.alpha < math.pi / 2:
+    __slots__ = ("alpha", "r", "dt", "restoring_sign")
+
+    def __init__(self, alpha: float, r: float = 1.0, dt: float = 1e-3,
+                 restoring_sign: bool = False):
+        if not 0.0 < alpha < math.pi / 2:
             raise ValueError("alpha must lie in (0, pi/2)")
-        if not 0.0 < self.r <= 1.0:
+        if not 0.0 < r <= 1.0:
             raise ValueError("restitution must lie in (0, 1]")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
+        self._set(alpha, r, dt, restoring_sign)
 
 
-@dataclass(frozen=True)
-class BlockState:
+class BlockState(NamedTuple):
     mode: Mode
     x1: float
     x2: float
     t: float = 0.0
 
 
-@dataclass(frozen=True)
-class ImpactEvent:
+class ImpactEvent(NamedTuple):
     t: float
     pre_velocity: float
     post_velocity: float
@@ -76,16 +76,17 @@ def _state(mode, x1, x2, t) -> BlockState:
     return BlockState(_MODES[mode], x1, x2, t)
 
 
-@dataclass
-class BlockTrace:
+class BlockTrace(Record):
     """Every recorded state as columns: time, mode index into ``_MODES``,
-    ``x1`` and ``x2``; :attr:`states` reads them back as BlockState records."""
-    t: array
-    mode: bytearray
-    x1: array
-    x2: array
-    impacts: list[ImpactEvent]
-    status: str = "completed"  # or "at_rest"
+    ``x1`` and ``x2``; :attr:`states` reads them back as BlockState records.
+    ``status`` is "completed" or "at_rest"."""
+
+    __slots__ = ("t", "mode", "x1", "x2", "impacts", "status")
+
+    def __init__(self, t: array, mode: bytearray, x1: array, x2: array,
+                 impacts: list[ImpactEvent], status: str = "completed"):
+        self.t, self.mode, self.x1, self.x2 = t, mode, x1, x2
+        self.impacts, self.status = impacts, status
 
     @property
     def states(self) -> ColumnRows:

@@ -48,12 +48,16 @@ def _header_matches(names: list[str], header: Sequence[str], labelled: bool) -> 
 
 def _read_plain(text: str, header: Sequence[str],
                 labelled: bool) -> tuple[list[float], list[str]] | None:
-    """One pass over text with no quotes, no carriage returns, no blank
-    lines and the same field count on every line; None for any other text,
-    or for any field that is not a finite number, which :func:`_read_rows`
-    then reads or rejects with its line number."""
-    if '"' in text or "\r" in text:
+    """One pass over text with no quotes, no carriage returns but those of
+    CRLF line ends, no blank lines and the same field count on every line;
+    None for any other text, or for any field that is not a finite number,
+    which :func:`_read_rows` then reads or rejects with its line number."""
+    if '"' in text:
         return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
     head_end = text.find("\n")
     if head_end < 0:
         return None

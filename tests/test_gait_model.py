@@ -206,17 +206,24 @@ def test_interior_samples_equal_field_eval_bitwise():
             assert traj.angles[jkey][i] == eval_vector_field(bank.get(jkey, phase), float(x))
 
 
-def test_grid_point_past_cycle_end_wraps_like_phases_of():
-    # floor(1.6 / tc) * tc rounds to 1.6000000000000003 at this tc
+@pytest.mark.parametrize("schedule", ["guard", "percent"])
+def test_last_grid_point_past_cycle_end_is_the_cycle_end(schedule):
+    # floor(1.6 / tc) * tc rounds to 1.6000000000000003 at tc = 1.6 / 75; at
+    # tc 1e-4 the last point is exactly 1.6
     bank = FieldBank.default()
-    traj = generate_gait_cycle(bank, GaitModelConfig(tc=0.021333333333333336),
-                               cross_fade=True)
-    assert traj.x[-1] > CYCLE_LENGTH
-    assert traj.phases == phases_of(traj.x)
-    assert traj.phases[-1] == GaitPhase.LR
+    config = GaitModelConfig(tc=1.6 / 75, schedule=PhaseSchedule.preset(schedule))
+    assert (config.n_samples - 1) * config.tc > CYCLE_LENGTH
+    traj = generate_gait_cycle(bank, config, cross_fade=True)
+    exact = generate_gait_cycle(bank, GaitModelConfig(tc=1e-4, schedule=config.schedule))
+    assert len(traj) == 76
+    assert traj.x[-1] == exact.x[-1] == CYCLE_LENGTH
+    assert traj.x[-2] < traj.x[-1]
+    assert traj.phases == phases_of(traj.x, config.schedule)
+    assert traj.phases[-1] == exact.phases[-1] == GaitPhase.TSW
     for jkey in gm.JOINT_KEYS:
-        vf = bank.get(jkey, GaitPhase.LR)
-        assert traj.angles[jkey][-1] == eval_vector_field(vf, traj.x[-1])
+        assert traj.angles[jkey][-1] == exact.angles[jkey][-1]
+        assert traj.angles[jkey][-1] == eval_vector_field(bank.get(jkey, GaitPhase.TSW),
+                                                          CYCLE_LENGTH)
 
 
 def test_generation_peaks_under_64_bytes_per_sample():
@@ -382,7 +389,7 @@ def reference_phase(x, schedule):
 def reference_cycle(bank, config, cross_fade):
     """Grid, phases and angles from one scalar evaluation per sample."""
     schedule, tc = config.schedule, config.tc
-    grid = np.arange(int(math.floor(schedule.x_max / tc)) + 1) * tc
+    grid = np.minimum(np.arange(int(math.floor(schedule.x_max / tc)) + 1) * tc, schedule.x_max)
     phases = [reference_phase(float(x), schedule) for x in grid]
     angles = {
         jkey: np.array([
@@ -448,6 +455,7 @@ def reference_validation(traj, ranges):
 @example(tc=1e-4, schedule="percent", cross_fade=False, constant=False)
 @example(tc=1e-4, schedule="percent", cross_fade=True, constant=False)
 @example(tc=0.0167, schedule="guard", cross_fade=False, constant=True)
+@example(tc=1.6 / 75, schedule="percent", cross_fade=True, constant=False)
 def test_array_paths_match_scalar_reference(tc, schedule, cross_fade, constant):
     bank = constant_bank(1000.0) if constant else FieldBank.default()
     config = GaitModelConfig(tc=tc, schedule=PhaseSchedule.preset(schedule))

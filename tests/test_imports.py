@@ -2,24 +2,36 @@
 libraries it runs, and none needs scipy. numpy costs most of a CLI call's
 start-up and scipy far more, so a stray import would slow every verb without
 failing anything else. ``push``, ``ca-predict``, ``simulate-block`` and
-``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy, and
-``ca-predict``, ``simulate-block`` and ``gen-gait`` do not load
-``gaitforge.push_fuzzy`` either. A verb that loads numpy loads it with
-``OPENBLAS_THREAD_TIMEOUT`` set, to 4 unless the caller set it.
+``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy, and no
+``dataclasses`` or ``inspect`` either, which took about a third of their
+own start-up; ``ca-predict``, ``simulate-block`` and ``gen-gait`` do not
+load ``gaitforge.push_fuzzy``. A missing input file is reported before numpy
+loads. A verb that loads numpy loads it with ``OPENBLAS_THREAD_TIMEOUT``
+set, to 4 unless the caller set it.
 
 Every case runs in a fresh interpreter, since this test process has long
 since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
 before it imports the CLI, so any scipy import in a verb fails the case, as
 it would on an install without scipy. No timings are compared.
+
+The records that replaced the dataclasses of the numpy-free modules keep
+their constructors, reprs, equality, hashes and (im)mutability; the last
+tests check that in this process.
 """
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gaitforge import gait_ca, gait_model, push_fuzzy, rocking_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,19 +41,22 @@ sys.modules["scipy"] = None
 from gaitforge import cli
 argv = json.loads(sys.argv[1])
 rc = cli.main(argv) if argv else 0
-print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy")
+print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy", "dataclasses", "inspect")
                                        if sys.modules.get(m) is not None]}))
 """
 
 
-def probe_result(argv, cwd, probe=PROBE, env=None):
+def probe_result(argv, cwd, probe=PROBE, env=None, rc=0):
+    """The probe's JSON line after ``cli.main(argv)`` returned ``rc``, with
+    the interpreter's stderr under "stderr"."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["rc"] == 0, done.stderr
+    assert result["rc"] == rc, done.stderr
+    result["stderr"] = done.stderr
     return result
 
 
@@ -72,6 +87,31 @@ def test_importing_the_gait_model_loads_no_numpy(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["ingest", "--in", "missing.csv", "--out", "never.csv"],
+    ["features", "--in", "missing.csv", "--out", "never.csv"],
+    ["classify", "--train", "missing.csv", "--test", "test.csv", "--out", "never.json"],
+    ["classify", "--train", "train.csv", "--test", "missing.csv", "--out", "never.json"],
+    ["cv", "--data", "missing.csv"],
+    ["cv", "--data", "missing.csv", "--method", "mlp", "--baseline", "knn", "--out", "never.json"],
+])
+def test_missing_input_is_reported_before_numpy_loads(argv, tmp_path):
+    write_inputs(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    result = probe_result(argv, tmp_path, rc=2)
+    assert result["stderr"] == "error: input not found: missing.csv\n"
+    assert "numpy" not in result["loaded"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_non_finite_block_state_is_reported_by_its_repr(tmp_path):
+    result = probe_result(["simulate-block", "--x1", "nan", "--out", "trace.csv"], tmp_path,
+                          rc=2)
+    assert result["stderr"] == ("error: initial state must be finite, got BlockState("
+                                "mode=<Mode.LEFT: 'left'>, x1=nan, x2=0.0, t=0.0)\n")
+    assert result["loaded"] == []
+
+
+@pytest.mark.parametrize("argv", [
     ["push", "--force", "5", "--dir", "left"],
     ["ca-predict", "--init", "0101", "--n", "4"],
     ["simulate-block", "--t-end", "1", "--out", "trace.csv"],
@@ -92,7 +132,9 @@ def test_verb_runs_without_numpy(argv, tmp_path):
     ["ca-predict", "--init", "0101", "--n", "4"],
 ])
 def test_verb_runs_without_push_fuzzy(argv, tmp_path):
-    probe = PROBE.replace('("numpy", "scipy")', '("gaitforge.push_fuzzy",)')
+    probe = PROBE.replace('("numpy", "scipy", "dataclasses", "inspect")',
+                          '("gaitforge.push_fuzzy",)')
+    assert probe != PROBE
     assert loaded_after(argv, tmp_path, probe) == set()
 
 
@@ -137,3 +179,151 @@ def test_numpy_verbs_load_openblas_with_a_short_idle_spin(preset, seen, tmp_path
     result = probe_result(["features", "--in", "angles.csv", "--out", "features.csv"],
                           tmp_path, BLAS_PROBE, env)
     assert result["seen"] == [seen]
+
+
+# ---------------------------------------------------------------------------
+# records: what the dataclasses they replaced did
+# ---------------------------------------------------------------------------
+
+GUARD = gait_model.PhaseSchedule.guard()
+FIELD = gait_model.PolynomialVectorField((1.0, 2.0, 3.0), 0.5, (0.0, 1.0))
+REACTION = push_fuzzy.ReactionMembership(small_roll=1.0)
+
+# one factory per immutable record; each call builds an equal, new record
+FROZEN = {
+    "CAState": lambda: gait_ca.CAState(5),
+    "BlockParams": lambda: rocking_block.BlockParams(alpha=0.3, r=0.9, restoring_sign=True),
+    "BlockState": lambda: rocking_block.BlockState(mode=rocking_block.Mode.LEFT, x1=-0.5,
+                                                   x2=0.0),
+    "ImpactEvent": lambda: rocking_block.ImpactEvent(1.0, 0.5, 0.45),
+    "ForceInput": lambda: push_fuzzy.ForceInput(magnitude=5.0,
+                                                direction=push_fuzzy.Direction.LEFT),
+    "ReactionMembership": lambda: push_fuzzy.ReactionMembership(0.5, 0.5),
+    "PushResponse": lambda: push_fuzzy.PushResponse(REACTION, push_fuzzy.Strategy.ANKLE, False,
+                                                    {"ankle": 1.0}),
+    "RangeCheckOutcome": lambda: push_fuzzy.RangeCheckOutcome("pass", "b1",
+                                                              push_fuzzy.Strategy.HIP),
+    "PhaseSchedule": lambda: gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES),
+    "PolynomialVectorField": lambda: gait_model.PolynomialVectorField([1, 2, 3], 0.5, [0, 1]),
+    "GaitModelConfig": lambda: gait_model.GaitModelConfig(tc=0.01),
+    "BoundaryGap": lambda: gait_model.BoundaryGap(0.5, gait_model.GaitPhase.LR,
+                                                  gait_model.GaitPhase.MST, {"left_hip": 1.0}),
+    "RangeViolation": lambda: gait_model.RangeViolation(gait_model.GaitPhase.LR, "left_hip",
+                                                        3, 0.05, 40.0, -5.0, 30.0),
+    "LimitCycle": lambda: gait_model.LimitCycle(np.zeros((3, 2)), 0.0),
+}
+# those holding a dict or an array cannot be hashed, as before
+UNHASHABLE = {"PushResponse", "BoundaryGap", "LimitCycle"}
+
+
+def field_names(record) -> tuple:
+    return record._fields if isinstance(record, tuple) else type(record).__slots__
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_immutable_record_refuses_assignment(name):
+    record = FROZEN[name]()
+    field = field_names(record)[0]
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, field) is value
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_immutable_record_equality_and_hash_go_by_field_values(name):
+    a, b = FROZEN[name](), FROZEN[name]()
+    assert a is not b
+    if name == "LimitCycle":
+        # a dataclass compared the arrays too, so only identical ones are equal
+        assert a == copy.copy(a)
+        return
+    assert a == b and not a != b
+    assert copy.deepcopy(a) == a
+    values = tuple(getattr(a, f) for f in field_names(a))
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        # a frozen dataclass hashed the tuple of its fields
+        assert hash(a) == hash(b) == hash(values)
+
+
+def test_records_of_different_values_or_types_differ():
+    assert gait_ca.CAState(5) != gait_ca.CAState(6)
+    assert rocking_block.BlockParams(0.3) != rocking_block.BlockParams(0.3, r=0.9)
+    assert gait_model.GaitModelConfig(tc=0.01) != gait_model.GaitModelConfig(tc=0.02)
+    assert gait_model.GaitModelConfig() != gait_model.GaitModelConfig(
+        schedule=gait_model.PhaseSchedule.percent())
+    assert push_fuzzy.ReactionMembership() != push_fuzzy.ReactionMembership(large_pitch=0.5)
+    # a one-field record is not its field, nor another record holding it
+    assert gait_ca.CAState(5) != 5
+    assert gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES) != gait_model.GUARD_BOUNDARIES
+
+
+@pytest.mark.parametrize("record, text", [
+    (gait_ca.CAState(5), "CAState(code=5)"),
+    (rocking_block.BlockParams(alpha=0.3), "BlockParams(alpha=0.3, r=1.0, dt=0.001, "
+                                           "restoring_sign=False)"),
+    (rocking_block.ImpactEvent(t=1.0, pre_velocity=0.5, post_velocity=0.45),
+     "ImpactEvent(t=1.0, pre_velocity=0.5, post_velocity=0.45)"),
+    (push_fuzzy.ForceInput(5.0, push_fuzzy.Direction.LEFT),
+     "ForceInput(magnitude=5.0, direction=<Direction.LEFT: 'left'>)"),
+    (REACTION, "ReactionMembership(small_roll=1.0, average_roll=0.0, large_roll=0.0, "
+               "small_pitch=0.0, average_pitch=0.0, large_pitch=0.0)"),
+    (push_fuzzy.RangeCheckOutcome("unmatched"),
+     "RangeCheckOutcome(status='unmatched', band=None, expected=None)"),
+    (gait_model.GaitModelConfig(tc=0.5),
+     "GaitModelConfig(tc=0.5, schedule=PhaseSchedule(boundaries=(0.5, 0.733, 0.9833, "
+     "1.1167, 1.2667, 1.4333, 1.6)))"),
+    (FIELD, "PolynomialVectorField(coefficients=(1.0, 2.0, 3.0), error_offset=0.5, "
+            "valid_interval=(0.0, 1.0))"),
+    (gait_model.RangeViolation(gait_model.GaitPhase.LR, "left_hip", 3, 0.05, 40.0, -5.0, 30.0),
+     "RangeViolation(phase=<GaitPhase.LR: 0>, joint='left_hip', index=3, x=0.05, "
+     "angle=40.0, lo=-5.0, hi=30.0)"),
+    (rocking_block.BlockTrace(array("d"), bytearray(), array("d"), array("d"), []),
+     "BlockTrace(t=array('d'), mode=bytearray(b''), x1=array('d'), x2=array('d'), "
+     "impacts=[], status='completed')"),
+])
+def test_record_repr_is_the_dataclass_repr(record, text):
+    assert repr(record) == text
+
+
+def test_checked_records_keep_their_checks():
+    with pytest.raises(ValueError, match="code must be a 4-bit value, got 16"):
+        gait_ca.CAState(16)
+    with pytest.raises(ValueError, match="dt must be finite and positive, got nan"):
+        rocking_block.BlockParams(alpha=0.3, dt=math.nan)
+    with pytest.raises(ValueError, match="force magnitude must be finite and >= 0"):
+        push_fuzzy.ForceInput(magnitude=-1.0, direction=push_fuzzy.Direction.LEFT)
+    with pytest.raises(ValueError, match=r"large_pitch degree 2 outside \[0, 1\]"):
+        push_fuzzy.ReactionMembership(large_pitch=2)
+    with pytest.raises(ValueError, match="expected 7 boundaries, got 6"):
+        gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES[:-1])
+    with pytest.raises(ValueError, match=r"invalid interval \[1.0, 0.0\]"):
+        gait_model.PolynomialVectorField((1.0, 2.0, 3.0), valid_interval=(1.0, 0.0))
+    with pytest.raises(ValueError, match="tc must be finite and strictly positive, got 0.0"):
+        gait_model.GaitModelConfig(tc=0.0)
+    # copies rebuild through the checks too
+    assert copy.deepcopy(FIELD) == FIELD
+
+
+def test_result_records_stay_mutable():
+    bank = gait_model.FieldBank.default()
+    traj = gait_model.generate_gait_cycle(bank)
+    report = gait_model.validate_ranges(traj)
+    trace = rocking_block.simulate(FROZEN["BlockState"](), FROZEN["BlockParams"](), 0.01)
+    for record, field, value in ((traj, "tc", 0.5), (report, "checked", 0),
+                                 (trace, "status", "at_rest")):
+        twin = copy.copy(record)
+        assert twin == record and twin is not record
+        setattr(record, field, value)
+        assert getattr(record, field) == value and twin != record
+        with pytest.raises(TypeError):
+            hash(record)
+    assert gait_model.JointTrajectorySet(traj.x, traj.angles, traj.phases, traj.tc,
+                                         traj.schedule).boundary_report == []

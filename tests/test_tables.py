@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gaitforge import capture, features
+from gaitforge import capture, features, tables
 from gaitforge import gait_model as gm
 from gaitforge.cli import main
 from gaitforge.rocking_block import BlockParams, BlockState, Mode, simulate
@@ -184,6 +184,23 @@ def test_one_pass_reader_agrees_with_the_csv_module(case, tmp_path):
     # repr tells 0.0 from -0.0
     assert list(map(repr, values)) == list(map(repr, numbers))
     assert labels == [row[-1] for row in rows if labelled]
+
+
+@pytest.mark.parametrize("labelled", [False, True])
+def test_crlf_file_takes_the_one_pass_reader(labelled, tmp_path, monkeypatch):
+    header = ("f0", "f1", "label") if labelled else ("t", "x", "y")
+    lines = [",".join(header)] + [f"{i}.5,-{i % 7}e-3,{'ab'[i % 2] if labelled else i}"
+                                  for i in range(12000)]
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    want = read_csv(lf, header, labelled)
+
+    def csv_loop(*args):
+        raise AssertionError("CRLF text went to the csv loop")
+
+    monkeypatch.setattr(tables, "_read_rows", csv_loop)
+    assert read_csv(crlf, header, labelled) == want
 
 
 # ---------------------------------------------------------------------------
