@@ -25,7 +25,7 @@ for imf in imfs:
 print("\nfeature vectors (min, max, entropy, log-energy, rms, zcr):")
 for imf in imfs:
     fv = feature_vector(imf.values)
-    print(f"  IMF{imf.index}: " + " ".join(f"{v:9.3f}" for v in fv.as_array()))
+    print(f"  IMF{imf.index}: " + " ".join(f"{v:9.3f}" for v in fv))
 
 stats = quartile_stats(imfs[0].values)
 print(f"\nIMF0 box plot: q1 {stats.q1:.3f}, median {stats.q2:.3f}, "

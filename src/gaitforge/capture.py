@@ -10,28 +10,26 @@ capture pipeline's zero correction and smoothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .records import FrozenRecord
 from .tables import read_csv, write_rows
 
 
-@dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(FrozenRecord):
     """Uniformly sampled scalar signal."""
 
-    values: np.ndarray
-    dt: float = 1.0
+    __slots__ = ("values", "dt")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if self.dt <= 0.0:
+    def __init__(self, values, dt: float = 1.0):
+        vals = np.asarray(values, dtype=float)
+        if dt <= 0.0:
             raise ValueError("sample period must be positive")
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("series values must be finite")
-        object.__setattr__(self, "values", vals)
+        self._set(vals, dt)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -41,16 +39,15 @@ class TimeSeries:
         return np.arange(len(self.values)) * self.dt
 
 
-@dataclass(frozen=True)
-class TwoLinkGeometry:
+class TwoLinkGeometry(FrozenRecord):
     """Planar two-link leg: proximal (thigh) and distal (shank) lengths."""
 
-    l1: float = 5.0
-    l2: float = 4.0
+    __slots__ = ("l1", "l2")
 
-    def __post_init__(self):
-        if not (0.0 < self.l1 < math.inf and 0.0 < self.l2 < math.inf):
-            raise ValueError(f"link lengths must be finite and positive, got {self.l1}, {self.l2}")
+    def __init__(self, l1: float = 5.0, l2: float = 4.0):
+        if not (0.0 < l1 < math.inf and 0.0 < l2 < math.inf):
+            raise ValueError(f"link lengths must be finite and positive, got {l1}, {l2}")
+        self._set(l1, l2)
 
 
 COUNTS_MAX = 999
@@ -166,7 +163,7 @@ def zero_correct(series: TimeSeries) -> TimeSeries:
     """Subtract the first sample from the whole series."""
     if len(series) == 0:
         raise ValueError("empty series")
-    return replace(series, values=series.values - series.values[0])
+    return TimeSeries(series.values - series.values[0], series.dt)
 
 
 def _window3(values: np.ndarray) -> np.ndarray:
@@ -198,7 +195,7 @@ def smooth_moving_average(series: TimeSeries) -> TimeSeries:
         resampled = np.interp(
             np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, len(cur)), cur
         )
-    return replace(series, values=resampled)
+    return TimeSeries(resampled, series.dt)
 
 
 def natural_spline(x, y, xs) -> np.ndarray:
@@ -306,9 +303,9 @@ def smooth_cubic_spline(series: TimeSeries, knot_stride: int = 5) -> TimeSeries:
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
     if len(idx) < 2:
-        return replace(series, values=series.values.copy())
+        return TimeSeries(series.values.copy(), series.dt)
     t = series.times
-    return replace(series, values=natural_spline(t[idx], series.values[idx], t))
+    return TimeSeries(natural_spline(t[idx], series.values[idx], t), series.dt)
 
 
 # ---------------------------------------------------------------------------

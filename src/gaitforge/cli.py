@@ -9,8 +9,9 @@ one applies.
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
-without ``dataclasses`` or ``inspect`` either; the rest load numpy, and
-report a missing input before they do. No verb needs scipy.
+without ``inspect`` either; the rest load numpy, and report a missing input
+or an out-of-range argument before they do. No verb needs scipy, and none loads
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def _at_least_one(option: str, value: int) -> None:
 # push --dir: the values of push_fuzzy.Direction, spelled out so that building
 # the parser does not load push_fuzzy
 PUSH_DIRECTIONS = ("left", "right", "forward", "backward")
+
+# features.MAX_BINS, spelled out so that checking --bins does not load numpy
+MAX_BINS = 1_000_000
+
+# ingest --l1/--l2: lengths whose squares are normal floats, with room for the
+# sum of two, so the inverse kinematics neither overflows nor divides by an
+# underflowed zero on the lengths' account
+LINK_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max) / 2.0)
 
 # every path option, by argparse dest; an empty value is an error, not an
 # absent option
@@ -156,6 +165,10 @@ def cmd_ca_predict(args) -> int:
 
 def cmd_ingest(args) -> int:
     _at_least_one("--knot-stride", args.knot_stride)
+    lo, hi = LINK_RANGE
+    for option, value in (("--l1", args.l1), ("--l2", args.l2)):
+        if not lo <= value <= hi:
+            raise InputError(f"{option}: must lie in [{lo:.6g}, {hi:.6g}], got {value}")
     _open_inputs(args.infile)
     import numpy as np
 
@@ -202,6 +215,8 @@ def cmd_features(args) -> int:
         if set(value) & set(',"\r\n'):
             raise InputError(f"{option}: {value!r} may not contain , \" CR or LF")
     _at_least_one("--max-imfs", args.max_imfs)
+    if not 1 <= args.bins <= MAX_BINS:
+        raise InputError(f"--bins: must lie in [1, {MAX_BINS}], got {args.bins}")
     _open_inputs(args.infile)
     from . import capture, features
 
@@ -317,8 +332,6 @@ def cmd_cv(args) -> int:
     layers = _check_trainer_options(args)
     path = fixture_path("synthetic_gait_features.csv") if args.data is None else args.data
     _open_inputs(path)
-    import dataclasses
-
     from . import learn
 
     trainer = _make_trainer(args, args.method, layers)
@@ -328,12 +341,12 @@ def cmd_cv(args) -> int:
         result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
         baseline = (None if base_trainer is None else
                     learn.kfold_cv(data, base_trainer, folds=args.folds, seed=args.seed))
-    report = {"folds": args.folds, "method": args.method, **dataclasses.asdict(result)}
+    report = {"folds": args.folds, "method": args.method, **result._asdict()}
     if baseline is not None:
         anova = learn.anova_single_factor(
             [result.fold_accuracies, baseline.fold_accuracies]
         )
-        report["baseline"] = {"method": args.baseline, **dataclasses.asdict(baseline)}
+        report["baseline"] = {"method": args.baseline, **baseline._asdict()}
         report["anova"] = anova.as_dict()
     if args.out is not None:
         write_json(args.out, report)

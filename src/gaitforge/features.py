@@ -10,8 +10,7 @@ statistics describe its distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,12 +18,12 @@ from .capture import TimeSeries, natural_spline
 from .tables import write_rows
 
 MAX_SIFTS = 100
+MAX_BINS = 1_000_000         # a histogram's edges and counts: about 16 MB
 SIFT_SD_TOL = 0.05           # Cauchy criterion between consecutive sifts
 LOG_ENERGY_FLOOR = 1e-300    # squared samples below this contribute log(floor)
 
 
-@dataclass(frozen=True)
-class IMF:
+class IMF(NamedTuple):
     """One intrinsic mode function, on the parent signal's grid."""
 
     values: np.ndarray
@@ -134,8 +133,7 @@ def emd_decompose(signal, max_imfs: int = 10) -> tuple[list[IMF], np.ndarray]:
     return imfs, residue
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     """The six statistical features used for push/gait classification."""
 
     min: float
@@ -145,14 +143,6 @@ class FeatureVector:
     rms: float
     zcr: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.min, self.max, self.shannon_entropy,
-             self.log_energy, self.rms, self.zcr]
-        )
-
-    NAMES = ("min", "max", "shannon_entropy", "log_energy", "rms", "zcr")
-
 
 def shannon_entropy(values, bins: int = 16) -> float:
     """Entropy (bits) of an equal-width histogram over [min, max].
@@ -160,6 +150,8 @@ def shannon_entropy(values, bins: int = 16) -> float:
     A point mass lands in a single bin and scores 0; a uniform spread over
     all bins scores log2(bins).
     """
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
     x = _as_array(values)
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
@@ -207,8 +199,7 @@ def feature_vector(signal, bins: int = 16) -> FeatureVector:
     )
 
 
-@dataclass(frozen=True)
-class BoxStats:
+class BoxStats(NamedTuple):
     """Box-plot quartile statistics with outlier fences."""
 
     q1: float
@@ -258,7 +249,7 @@ def write_feature_matrix_csv(path, rows: Sequence[tuple]) -> None:
 
     Each row is (subject, joint, imf_index, FeatureVector, label).
     """
-    header = "subject,joint,imf_index," + ",".join(FeatureVector.NAMES) + ",label"
-    row_format = "%s,%s,%s," + ",".join(["%.6f"] * len(FeatureVector.NAMES)) + ",%s"
+    header = "subject,joint,imf_index," + ",".join(FeatureVector._fields) + ",label"
+    row_format = "%s,%s,%s," + ",".join(["%.6f"] * len(FeatureVector._fields)) + ",%s"
     write_rows(path, header, row_format,
-               ((subj, joint, i, *fv.as_array(), label) for subj, joint, i, fv, label in rows))
+               ((subj, joint, i, *fv, label) for subj, joint, i, fv, label in rows))

@@ -10,25 +10,23 @@ seeded and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .records import Record
 from .tables import read_csv
 
 
-@dataclass
-class Dataset:
-    """Feature rows with integer labels indexing ``class_names``."""
+class Dataset(Record):
+    """Feature rows (n, d) with integer labels (n,) indexing ``class_names``."""
 
-    features: np.ndarray   # (n, d)
-    labels: np.ndarray     # (n,)
-    class_names: tuple[str, ...]
+    __slots__ = ("features", "labels", "class_names")
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+    def __init__(self, features, labels, class_names: tuple[str, ...]):
+        self.features = np.asarray(features, dtype=float)
+        self.labels = np.asarray(labels, dtype=int)
+        self.class_names = class_names
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
             raise ValueError("features must be (n, d) with one label per row")
         if self.labels.size and (
@@ -159,16 +157,17 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-@dataclass
-class MlpModel:
-    layers: tuple[int, ...]
-    weights: list[np.ndarray]   # weights[l] has shape (layers[l], layers[l+1])
-    biases: list[np.ndarray]
+class MlpModel(Record):
+    """``weights[l]`` has shape (layers[l], layers[l+1])."""
 
-    def __post_init__(self):
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (self.layers[l], self.layers[l + 1]) or b.shape != (self.layers[l + 1],):
+    __slots__ = ("layers", "weights", "biases")
+
+    def __init__(self, layers: tuple[int, ...], weights: list[np.ndarray],
+                 biases: list[np.ndarray]):
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape != (layers[l], layers[l + 1]) or b.shape != (layers[l + 1],):
                 raise ValueError("weight/bias shapes inconsistent with layer sizes")
+        self.layers, self.weights, self.biases = layers, weights, biases
 
 
 def mlp_init(layers: Sequence[int], seed: int = 42) -> MlpModel:
@@ -329,8 +328,7 @@ class StratificationError(ValueError):
     """A class has fewer members than the fold count."""
 
 
-@dataclass
-class CvResult:
+class CvResult(NamedTuple):
     fold_accuracies: list[float]   # percent
     mean: float
     variance: float                # n-1 denominator
@@ -447,12 +445,13 @@ def mlp_trainer(layers: Sequence[int] | None, eta: float, epochs: int,
 # Confusion matrix, accuracies, biometric rates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (K, K); rows true class, columns predicted
+class ConfusionMatrix(Record):
+    """``counts`` is (K, K); rows true class, columns predicted."""
 
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=int)
+    __slots__ = ("counts",)
+
+    def __init__(self, counts):
+        self.counts = np.asarray(counts, dtype=int)
         if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
             raise ValueError("confusion matrix must be square")
         if np.any(self.counts < 0):
@@ -509,8 +508,7 @@ class UndefinedClassError(ValueError):
     """A class has no test samples, so its acceptance rate is undefined."""
 
 
-@dataclass
-class BiometricMetrics:
+class BiometricMetrics(NamedTuple):
     per_class_tar: np.ndarray
     per_class_far: np.ndarray
     per_class_frr: np.ndarray
@@ -599,8 +597,7 @@ def f_survival(d1: float, d2: float, f: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, w1) / b
 
 
-@dataclass
-class AnovaResult:
+class AnovaResult(NamedTuple):
     ss_between: float
     ss_within: float
     df_between: int

@@ -1,14 +1,16 @@
-"""Bases of the records that check their fields or stay mutable.
+"""Bases of every record in the package that checks its fields or stays
+mutable.
 
 A record names its fields in ``__slots__``, in constructor order, and sets
-them in ``__init__``. As a dataclass would, it prints as
-``Name(field=value, ...)`` and equals a record of its own class with equal
-fields. A :class:`FrozenRecord` also hashes by its fields and refuses
-assignment, so its ``__init__`` sets them with :meth:`FrozenRecord._set`.
-Immutable records with no checks are ``typing.NamedTuple`` classes instead.
-Neither uses ``dataclasses``: importing it (and ``inspect`` with it) and
-generating each class's methods took about a third of what the numpy-free
-verbs spent starting up past the interpreter's own start.
+them in ``__init__``, which holds its checks. As a dataclass would, it
+prints as ``Name(field=value, ...)`` and equals a record of its own class
+with equal fields. A :class:`FrozenRecord` also hashes by its fields and
+refuses assignment, so its ``__init__`` sets them with
+:meth:`FrozenRecord._set`. Immutable records with no checks are
+``typing.NamedTuple`` classes instead. No module uses ``dataclasses``:
+importing it (and ``inspect`` with it) and generating each class's methods
+took about a third of what the numpy-free verbs spent starting up past the
+interpreter's own start.
 """
 
 from __future__ import annotations

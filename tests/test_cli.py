@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitforge.cli import build_parser, main
-from gaitforge import gait_ca
+from gaitforge import features, gait_ca
 from gaitforge import gait_model as gm
 from gaitforge.fixtures import fixture_dir, fixture_path
 from gaitforge.tables import write_rows
@@ -113,6 +113,10 @@ OUT, ACC, ANGLES = "<out>", "<acc>", "<angles>"   # replaced by paths under tmp_
     ["features", "--in", ANGLES, "--max-imfs", "0", "--out", OUT],
     ["ca-predict", "--init", "0000", "--n", str(gait_ca.MAX_STEPS + 1), "--out", OUT],
     ["ingest", "--in", ACC, "--ik", "exact", "--l1", "nan", "--out", OUT],
+    # squares that overflow, or underflow to 0 and make the alg1 cosine overflow
+    ["ingest", "--in", ACC, "--l1", "1e308", "--out", OUT],
+    ["ingest", "--in", ACC, "--l2", "1e308", "--out", OUT],
+    ["ingest", "--in", ACC, "--l1", "1e-308", "--out", OUT],
 ])
 def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
@@ -275,6 +279,9 @@ def test_empty_path_exits_2_before_any_io(verb, option, tmp_path, capsys, monkey
     (["classify", "--train", "never.csv", "--test", "never.csv", "--out", "m.json",
       "--seed", "-1"], "--seed"),
     (["cv", "--data", "never.csv", "--method", "knn", "--folds", "1"], "--folds"),
+    (["features", "--in", "never.csv", "--out", "f.csv", "--bins", "0"], "--bins"),
+    (["features", "--in", "never.csv", "--out", "f.csv",
+      "--bins", str(features.MAX_BINS + 1)], "--bins"),
 ])
 def test_option_a_method_ignores_is_still_checked_before_reading(
         argv, option, tmp_path, capsys, monkeypatch):
@@ -389,6 +396,12 @@ def test_push_dir_choices_are_the_directions_in_order():
     from gaitforge import cli, push_fuzzy
 
     assert list(cli.PUSH_DIRECTIONS) == [d.value for d in push_fuzzy.Direction]
+
+
+def test_bins_limit_is_the_features_limit():
+    from gaitforge import cli
+
+    assert cli.MAX_BINS == features.MAX_BINS
 
 
 def test_push_beyond_envelope(capsys):

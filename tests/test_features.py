@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gaitforge.features import (
     IMF,
+    MAX_BINS,
     count_extrema,
     count_zero_crossings,
     emd_decompose,
@@ -114,6 +115,11 @@ def test_constant_signal_features():
 def test_uniform_histogram_maximizes_entropy():
     values = np.linspace(0.0, 1.0, 16, endpoint=False) + 1.0 / 32.0
     assert shannon_entropy(values, bins=16) == pytest.approx(4.0)
+
+
+def test_entropy_refuses_more_bins_than_the_limit():
+    with pytest.raises(ValueError, match=rf"bins must lie in \[1, {MAX_BINS}\], got {MAX_BINS + 1}"):
+        shannon_entropy(np.arange(10.0), bins=MAX_BINS + 1)
 
 
 def test_entropy_bounded_by_log2_bins():

@@ -1,11 +1,12 @@
 """Import contract of the command line: each verb loads only the heavy
-libraries it runs, and none needs scipy. numpy costs most of a CLI call's
-start-up and scipy far more, so a stray import would slow every verb without
-failing anything else. ``push``, ``ca-predict``, ``simulate-block`` and
-``gen-gait`` (and ``gaitforge.gait_model`` itself) load no numpy, and no
-``dataclasses`` or ``inspect`` either, which took about a third of their
-own start-up; ``ca-predict``, ``simulate-block`` and ``gen-gait`` do not
-load ``gaitforge.push_fuzzy``. A missing input file is reported before numpy
+libraries it runs, none needs scipy, and none loads ``dataclasses``. numpy
+costs most of a CLI call's start-up and scipy far more, so a stray import
+would slow every verb without failing anything else. ``push``,
+``ca-predict``, ``simulate-block`` and ``gen-gait`` (and
+``gaitforge.gait_model`` itself) load no numpy, and no ``inspect`` either,
+which with ``dataclasses`` took about a third of their own start-up;
+``ca-predict``, ``simulate-block`` and ``gen-gait`` do not load
+``gaitforge.push_fuzzy``. A missing input file is reported before numpy
 loads. A verb that loads numpy loads it with ``OPENBLAS_THREAD_TIMEOUT``
 set, to 4 unless the caller set it.
 
@@ -14,8 +15,8 @@ since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
 before it imports the CLI, so any scipy import in a verb fails the case, as
 it would on an install without scipy. No timings are compared.
 
-The records that replaced the dataclasses of the numpy-free modules keep
-their constructors, reprs, equality, hashes and (im)mutability; the last
+The records that replaced the package's dataclasses keep their
+constructors, reprs, equality, hashes, checks and (im)mutability; the last
 tests check that in this process.
 """
 
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitforge import gait_ca, gait_model, push_fuzzy, rocking_block
+from gaitforge import capture, features, gait_ca, gait_model, learn, push_fuzzy, rocking_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -153,7 +154,8 @@ def test_verb_runs_without_push_fuzzy(argv, tmp_path):
 ])
 def test_verb_runs_without_scipy(argv, tmp_path):
     write_inputs(tmp_path)
-    assert "scipy" not in loaded_after(argv, tmp_path)
+    loaded = loaded_after(argv, tmp_path)
+    assert "scipy" not in loaded and "dataclasses" not in loaded
 
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it; the spy
@@ -211,9 +213,21 @@ FROZEN = {
     "RangeViolation": lambda: gait_model.RangeViolation(gait_model.GaitPhase.LR, "left_hip",
                                                         3, 0.05, 40.0, -5.0, 30.0),
     "LimitCycle": lambda: gait_model.LimitCycle(np.zeros((3, 2)), 0.0),
+    "TimeSeries": lambda: capture.TimeSeries(np.arange(3.0), dt=0.5),
+    "TwoLinkGeometry": lambda: capture.TwoLinkGeometry(l1=5.0, l2=4.0),
+    "IMF": lambda: features.IMF(np.zeros(4), 0),
+    "FeatureVector": lambda: features.FeatureVector(1.0, 2.0, 0.5, -3.0, 1.5, 0.25),
+    "BoxStats": lambda: features.BoxStats(1.0, 2.0, 3.0, 2.0, (), (0,)),
+    "CvResult": lambda: learn.CvResult([50.0, 100.0], 75.0, 1250.0, 35.0),
+    "BiometricMetrics": lambda: learn.BiometricMetrics(np.ones(2), np.zeros(2), np.zeros(2),
+                                                       1.0, 0.0, 0.0),
+    "AnovaResult": lambda: learn.AnovaResult(1.0, 2.0, 1, 8, 1.0, 0.25, 4.0, 0.08),
 }
-# those holding a dict or an array cannot be hashed, as before
-UNHASHABLE = {"PushResponse", "BoundaryGap", "LimitCycle"}
+# those holding a dict, a list or an array cannot be hashed, as before
+UNHASHABLE = {"PushResponse", "BoundaryGap", "LimitCycle", "TimeSeries", "IMF", "CvResult",
+              "BiometricMetrics"}
+# those holding an array equal only records that share it
+HOLD_ARRAYS = {"LimitCycle", "TimeSeries", "IMF", "BiometricMetrics"}
 
 
 def field_names(record) -> tuple:
@@ -238,7 +252,7 @@ def test_immutable_record_refuses_assignment(name):
 def test_immutable_record_equality_and_hash_go_by_field_values(name):
     a, b = FROZEN[name](), FROZEN[name]()
     assert a is not b
-    if name == "LimitCycle":
+    if name in HOLD_ARRAYS:
         # a dataclass compared the arrays too, so only identical ones are equal
         assert a == copy.copy(a)
         return
@@ -288,6 +302,12 @@ def test_records_of_different_values_or_types_differ():
     (rocking_block.BlockTrace(array("d"), bytearray(), array("d"), array("d"), []),
      "BlockTrace(t=array('d'), mode=bytearray(b''), x1=array('d'), x2=array('d'), "
      "impacts=[], status='completed')"),
+    (capture.TwoLinkGeometry(), "TwoLinkGeometry(l1=5.0, l2=4.0)"),
+    (features.FeatureVector(1.0, 2.0, 0.5, -3.0, 1.5, 0.25),
+     "FeatureVector(min=1.0, max=2.0, shannon_entropy=0.5, log_energy=-3.0, rms=1.5, "
+     "zcr=0.25)"),
+    (learn.CvResult([50.0, 100.0], 75.0, 1250.0, 35.0),
+     "CvResult(fold_accuracies=[50.0, 100.0], mean=75.0, variance=1250.0, sigma=35.0)"),
 ])
 def test_record_repr_is_the_dataclass_repr(record, text):
     assert repr(record) == text
@@ -308,6 +328,22 @@ def test_checked_records_keep_their_checks():
         gait_model.PolynomialVectorField((1.0, 2.0, 3.0), valid_interval=(1.0, 0.0))
     with pytest.raises(ValueError, match="tc must be finite and strictly positive, got 0.0"):
         gait_model.GaitModelConfig(tc=0.0)
+    with pytest.raises(ValueError, match="sample period must be positive"):
+        capture.TimeSeries([1.0], dt=0.0)
+    with pytest.raises(ValueError, match="series values must be finite"):
+        capture.TimeSeries([1.0, math.inf])
+    with pytest.raises(ValueError, match="link lengths must be finite and positive, got 0.0, 4.0"):
+        capture.TwoLinkGeometry(l1=0.0)
+    with pytest.raises(ValueError, match=r"features must be \(n, d\) with one label per row"):
+        learn.Dataset([[1.0], [2.0]], [0], ("a",))
+    with pytest.raises(ValueError, match="labels must index class_names"):
+        learn.Dataset([[1.0]], [1], ("a",))
+    with pytest.raises(ValueError, match="weight/bias shapes inconsistent with layer sizes"):
+        learn.MlpModel((2, 1), [np.zeros((1, 2))], [np.zeros(1)])
+    with pytest.raises(ValueError, match="confusion matrix must be square"):
+        learn.ConfusionMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="counts must be non-negative"):
+        learn.ConfusionMatrix([[-1]])
     # copies rebuild through the checks too
     assert copy.deepcopy(FIELD) == FIELD
 
@@ -317,13 +353,20 @@ def test_result_records_stay_mutable():
     traj = gait_model.generate_gait_cycle(bank)
     report = gait_model.validate_ranges(traj)
     trace = rocking_block.simulate(FROZEN["BlockState"](), FROZEN["BlockParams"](), 0.01)
+    data = learn.Dataset([[1.0], [2.0]], [0, 1], ("a", "b"))
+    model = learn.mlp_init((1, 2), seed=0)
+    # one count, so that comparing the arrays gives a single truth value
+    cm = learn.ConfusionMatrix([[3]])
     for record, field, value in ((traj, "tc", 0.5), (report, "checked", 0),
-                                 (trace, "status", "at_rest")):
+                                 (trace, "status", "at_rest"), (data, "class_names", ("b", "a")),
+                                 (model, "layers", (1, 3)), (cm, "counts", np.array([[4]]))):
         twin = copy.copy(record)
         assert twin == record and twin is not record
         setattr(record, field, value)
         assert getattr(record, field) == value and twin != record
         with pytest.raises(TypeError):
             hash(record)
+        with pytest.raises(AttributeError):
+            record.extra = 1
     assert gait_model.JointTrajectorySet(traj.x, traj.angles, traj.phases, traj.tc,
                                          traj.schedule).boundary_report == []

@@ -245,10 +245,10 @@ def test_feature_matrix_bytes_match_per_value_formatting(tmp_path):
             for joint in ("theta1", "theta2") for i in range(5)]
     expected = tmp_path / "expected.csv"
     with open(expected, "w", encoding="utf-8") as fh:
-        fh.write("subject,joint,imf_index," + ",".join(features.FeatureVector.NAMES)
+        fh.write("subject,joint,imf_index," + ",".join(features.FeatureVector._fields)
                  + ",label\n")
         for subject, joint, imf_index, fv, label in rows:
-            feats = ",".join(f"{v:.6f}" for v in fv.as_array())
+            feats = ",".join(f"{v:.6f}" for v in fv)
             fh.write(f"{subject},{joint},{imf_index},{feats},{label}\n")
     got = tmp_path / "got.csv"
     features.write_feature_matrix_csv(got, rows)
