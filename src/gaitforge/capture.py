@@ -146,16 +146,19 @@ def ik_alg1_batch(xs: TimeSeries, ys: TimeSeries,
         raise ValueError("empty batch")
     x = xs.values
     y = ys.values
-    tmp = (x * x + y * y - geom.l1 ** 2 - geom.l2 ** 2) / (2.0 * geom.l1 * geom.l2)
-    tmp_max = float(np.max(tmp))
-    if tmp_max == 0.0:
-        raise DegenerateNormalizationError("max(tmp) is zero")
-    cos_t2 = np.clip(tmp / tmp_max, -1.0, 1.0)
-    sin_t2 = np.sqrt(1.0 - cos_t2 * cos_t2)  # positive root
-    k1 = geom.l1 + geom.l2 * cos_t2
-    k2 = geom.l2 * sin_t2
-    theta1 = np.arctan2(y, x) - np.arctan2(k2, k1)
-    theta2 = np.arctan2(sin_t2, cos_t2)
+    # coordinates whose squares overflow make NaN angles, which TimeSeries
+    # rejects with one message; numpy's warnings would only precede it
+    with np.errstate(over="ignore", invalid="ignore"):
+        tmp = (x * x + y * y - geom.l1 ** 2 - geom.l2 ** 2) / (2.0 * geom.l1 * geom.l2)
+        tmp_max = float(np.max(tmp))
+        if tmp_max == 0.0:
+            raise DegenerateNormalizationError("max(tmp) is zero")
+        cos_t2 = np.clip(tmp / tmp_max, -1.0, 1.0)
+        sin_t2 = np.sqrt(1.0 - cos_t2 * cos_t2)  # positive root
+        k1 = geom.l1 + geom.l2 * cos_t2
+        k2 = geom.l2 * sin_t2
+        theta1 = np.arctan2(y, x) - np.arctan2(k2, k1)
+        theta2 = np.arctan2(sin_t2, cos_t2)
     return TimeSeries(theta1, dt=xs.dt), TimeSeries(theta2, dt=xs.dt)
 
 
@@ -184,11 +187,13 @@ def smooth_moving_average(series: TimeSeries) -> TimeSeries:
         raise ValueError("need at least 3 samples to smooth")
     prev = series.values
     cur = _window3(prev)
-    rms = float(np.sqrt(np.mean((cur - prev[1:-1]) ** 2)))
-    while rms > 1e-4 and len(cur) > n / 2 and len(cur) >= 3:
-        nxt = _window3(cur)
-        rms = float(np.sqrt(np.mean((nxt - cur[1:-1]) ** 2)))
-        cur = nxt
+    # a squared change that overflows gives an RMS of inf: keep smoothing
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean((cur - prev[1:-1]) ** 2)))
+        while rms > 1e-4 and len(cur) > n / 2 and len(cur) >= 3:
+            nxt = _window3(cur)
+            rms = float(np.sqrt(np.mean((nxt - cur[1:-1]) ** 2)))
+            cur = nxt
     if len(cur) == 1:
         resampled = np.full(n, cur[0])
     else:

@@ -2,16 +2,19 @@
 
 One verb per capability; every verb is deterministic given its inputs and
 seed, so re-runs are byte-identical. Numeric output uses six decimal
-places. Bad input (a missing or malformed file, an out-of-range argument)
-exits with status 2 and a one-line ``error:`` message, line-numbered where
-one applies.
+places. Bad input (a missing or malformed file, an out-of-range argument,
+or anything argparse rejects: a non-number, a bad choice, a missing or
+unknown option or verb) exits with status 2 and a one-line ``error:``
+message, line-numbered where one applies, and no usage text; ``--help``
+still prints usage. Each option's ``type=`` checks what its own value
+allows, so options are checked as they are parsed and the first bad one on
+the command line is reported.
 
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
 without ``inspect`` either; the rest load numpy, and report a missing input
-or an out-of-range argument before they do. No verb needs scipy, and none loads
-``dataclasses``.
+before they do. No verb needs scipy, and none loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -49,11 +52,6 @@ def _open_inputs(*paths) -> None:
             raise InputError(f"input not found: {path}") from None
 
 
-def _at_least_one(option: str, value: int) -> None:
-    if value < 1:
-        raise InputError(f"{option}: must be >= 1, got {value}")
-
-
 # push --dir: the values of push_fuzzy.Direction, spelled out so that building
 # the parser does not load push_fuzzy
 PUSH_DIRECTIONS = ("left", "right", "forward", "backward")
@@ -66,16 +64,43 @@ MAX_BINS = 1_000_000
 # underflowed zero on the lengths' account
 LINK_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max) / 2.0)
 
-# every path option, by argparse dest; an empty value is an error, not an
-# absent option
-PATH_OPTIONS = {"infile": "--in", "out": "--out", "data": "--data", "train": "--train",
-                "test": "--test", "model_bank": "--model-bank", "out_dir": "--out-dir"}
+
+class _Parser(argparse.ArgumentParser):
+    """Raise what argparse rejects, so :func:`main` reports it like any other
+    bad input; subparsers inherit this through ``add_subparsers``."""
+
+    def error(self, message):
+        raise InputError(message.removeprefix("argument "))
 
 
-def _check_paths(args) -> None:
-    for dest, option in PATH_OPTIONS.items():
-        if getattr(args, dest, None) == "":
-            raise InputError(f"{option}: empty path")
+def _checked(convert, ok, rule: str):
+    """An option type: ``convert`` the text, then require ``ok(value)``.
+    argparse prefixes the option name to the ``rule`` message."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {value}")
+        return value
+    parse.__name__ = convert.__name__   # argparse's "invalid int value: 'abc'"
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, lambda value: value >= low, f"must be >= {low}")
+
+
+def _path(text: str) -> str:
+    # an empty value is an error, not an absent option
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
+def _field(text: str) -> str:
+    # --label and --subject go into every features row unquoted
+    if set(text) & set(',"\r\n'):
+        raise argparse.ArgumentTypeError(f"{text!r} may not contain , \" CR or LF")
+    return text
 
 
 def _load_bank(path: str | None) -> gait_model.FieldBank:
@@ -164,11 +189,6 @@ def cmd_ca_predict(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    _at_least_one("--knot-stride", args.knot_stride)
-    lo, hi = LINK_RANGE
-    for option, value in (("--l1", args.l1), ("--l2", args.l2)):
-        if not lo <= value <= hi:
-            raise InputError(f"{option}: must lie in [{lo:.6g}, {hi:.6g}], got {value}")
     _open_inputs(args.infile)
     import numpy as np
 
@@ -210,13 +230,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_features(args) -> int:
-    # both go into every row unquoted
-    for option, value in (("--label", args.label), ("--subject", args.subject)):
-        if set(value) & set(',"\r\n'):
-            raise InputError(f"{option}: {value!r} may not contain , \" CR or LF")
-    _at_least_one("--max-imfs", args.max_imfs)
-    if not 1 <= args.bins <= MAX_BINS:
-        raise InputError(f"--bins: must lie in [1, {MAX_BINS}], got {args.bins}")
     _open_inputs(args.infile)
     from . import capture, features
 
@@ -251,38 +264,24 @@ def _metrics_report(cm, per_class, error, class_names) -> dict:
     }
 
 
-def _parse_layers(text: str | None):
-    if text is None:
-        return None
+def _parse_layers(text: str) -> tuple[int, ...]:
     try:
         layers = tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise InputError(f"--layers: {text!r} is not a comma-separated list of sizes") from None
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of sizes") from None
     if min(layers) < 1:
-        raise InputError(f"--layers: sizes must be >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"sizes must be >= 1, got {text!r}")
     return layers
 
 
-def _check_trainer_options(args) -> tuple[int, ...] | None:
-    """Check every trainer option, also those the method ignores, so an
-    argv's exit status does not hang on ``--method``; return the parsed
-    ``--layers``. Callers check before they open any input."""
-    _at_least_one("--k", args.k)
-    _at_least_one("--epochs", args.epochs)
-    if not (math.isfinite(args.eta) and args.eta > 0.0):
-        raise InputError(f"--eta: must be finite and positive, got {args.eta}")
-    if args.seed < 0:
-        raise InputError(f"--seed: must be >= 0, got {args.seed}")
-    return _parse_layers(args.layers)
-
-
-def _make_trainer(args, method: str, layers: tuple[int, ...] | None):
-    """The ``method`` trainer from checked options."""
+def _make_trainer(args, method: str):
+    """The ``method`` trainer from the parsed options."""
     from . import learn
 
     if method == "knn":
         return learn.knn_trainer(args.k)
-    return learn.mlp_trainer(layers, eta=args.eta, epochs=args.epochs, seed=args.seed)
+    return learn.mlp_trainer(args.layers, eta=args.eta, epochs=args.epochs, seed=args.seed)
 
 
 @contextmanager
@@ -297,13 +296,12 @@ def _weight_limit():
 
 
 def cmd_classify(args) -> int:
-    layers = _check_trainer_options(args)
     _open_inputs(args.train, args.test)
     import numpy as np
 
     from . import learn
 
-    trainer = _make_trainer(args, args.method, layers)
+    trainer = _make_trainer(args, args.method)
     train = learn.Dataset.from_csv(args.train)
     test = learn.Dataset.from_csv(args.test)
     if train.class_names != test.class_names:
@@ -327,15 +325,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    if args.folds < 2:
-        raise InputError(f"--folds: must be >= 2, got {args.folds}")
-    layers = _check_trainer_options(args)
     path = fixture_path("synthetic_gait_features.csv") if args.data is None else args.data
     _open_inputs(path)
     from . import learn
 
-    trainer = _make_trainer(args, args.method, layers)
-    base_trainer = _make_trainer(args, args.baseline, layers) if args.baseline else None
+    trainer = _make_trainer(args, args.method)
+    base_trainer = _make_trainer(args, args.baseline) if args.baseline else None
     data = learn.Dataset.from_csv(path)
     with _weight_limit():
         result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
@@ -383,7 +378,6 @@ def cmd_plot_data(args) -> int:
             f"--tc: tc {config.tc} gives {config.n_samples} samples per cycle, "
             "plot-data needs at least 4"
         )
-    _at_least_one("--frame-stride", args.frame_stride)
     bank = _load_bank(args.model_bank)
     import numpy as np
 
@@ -429,14 +423,14 @@ def cmd_plot_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gaitforge",
         description="Batch gait modeling, simulation, classification, and push recovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_gait_args(p):
-        p.add_argument("--model-bank", help="bank JSON (default: bundled tables)")
+        p.add_argument("--model-bank", type=_path, help="bank JSON (default: bundled tables)")
         p.add_argument("--schedule", choices=("guard", "percent"), default="guard")
         p.add_argument("--tc", type=float,
                        help="grid step (default: gait_model.DEFAULT_TC)")
@@ -444,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-gait", help="generate a full six-joint gait cycle")
     add_gait_args(p)
     p.add_argument("--cross-fade", action="store_true")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_gen_gait)
 
     p = sub.add_parser("simulate-block", help="rocking-block simulation with impacts")
@@ -457,73 +451,79 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--restoring", action="store_true",
                    help="flip the right-mode acceleration sign")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_path, required=True)
     p.set_defaults(func=cmd_simulate_block)
 
     p = sub.add_parser("ca-predict", help="iterate the gait-state rule table")
     p.add_argument("--init", required=True, metavar="BITS")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_ca_predict)
 
     p = sub.add_parser("ingest", help="accelerometer CSV to joint angles")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--l1", type=float, default=5.0)
-    p.add_argument("--l2", type=float, default=4.0)
+    p.add_argument("--in", dest="infile", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
+    lo, hi = LINK_RANGE
+    link = _checked(float, lambda value: lo <= value <= hi,
+                    f"must lie in [{lo:.6g}, {hi:.6g}]")
+    p.add_argument("--l1", type=link, default=5.0)
+    p.add_argument("--l2", type=link, default=4.0)
     p.add_argument("--ik", choices=("alg1", "exact"), default="alg1")
     p.add_argument("--elbow", choices=("down", "up"), default="down",
                    help="knee-bend branch for --ik exact")
     p.add_argument("--smooth", choices=("none", "moving-average", "spline"),
                    default="none")
-    p.add_argument("--knot-stride", type=int, default=5,
+    p.add_argument("--knot-stride", type=_at_least(1), default=5,
                    help="spline smoother keeps every Nth sample as a knot")
     p.add_argument("--zero-correct", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("features", help="EMD features from a joint-angle CSV")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--label", default="unlabeled")
-    p.add_argument("--subject", default="s1")
-    p.add_argument("--max-imfs", type=int, default=6)
-    p.add_argument("--bins", type=int, default=16)
+    p.add_argument("--in", dest="infile", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
+    p.add_argument("--label", type=_field, default="unlabeled")
+    p.add_argument("--subject", type=_field, default="s1")
+    p.add_argument("--max-imfs", type=_at_least(1), default=6)
+    p.add_argument("--bins", type=_checked(int, lambda value: 1 <= value <= MAX_BINS,
+                                           f"must lie in [1, {MAX_BINS}]"), default=16)
     p.set_defaults(func=cmd_features)
 
     def add_trainer_args(p):
         p.add_argument("--method", choices=("knn", "mlp"), default="knn")
-        p.add_argument("--k", type=int, default=3)
-        p.add_argument("--layers", help="comma-separated MLP layer sizes")
-        p.add_argument("--eta", type=float, default=0.5)
-        p.add_argument("--epochs", type=int, default=200)
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--k", type=_at_least(1), default=3)
+        p.add_argument("--layers", type=_parse_layers, help="comma-separated MLP layer sizes")
+        p.add_argument("--eta", type=_checked(float, lambda value: math.isfinite(value)
+                                              and value > 0.0, "must be finite and positive"),
+                       default=0.5)
+        p.add_argument("--epochs", type=_at_least(1), default=200)
+        p.add_argument("--seed", type=_at_least(0), default=42)
 
     p = sub.add_parser("classify", help="train on one CSV, score another")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--train", type=_path, required=True)
+    p.add_argument("--test", type=_path, required=True)
+    p.add_argument("--out", type=_path, required=True)
     add_trainer_args(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation")
-    p.add_argument("--data", help="dataset CSV (default: bundled synthetic set)")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--data", type=_path, help="dataset CSV (default: bundled synthetic set)")
+    p.add_argument("--folds", type=_at_least(2), default=5)
     p.add_argument("--baseline", choices=("knn", "mlp"),
                    help="also run this method and ANOVA the two fold sets")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     add_trainer_args(p)
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("push", help="push-recovery verdict as JSON")
     p.add_argument("--force", type=float, required=True)
     p.add_argument("--dir", choices=PUSH_DIRECTIONS, required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_path)
     p.set_defaults(func=cmd_push)
 
     p = sub.add_parser("plot-data", help="two-column CSVs for the standard figures")
-    p.add_argument("--out-dir", required=True)
+    p.add_argument("--out-dir", type=_path, required=True)
     add_gait_args(p)
-    p.add_argument("--frame-stride", type=int, default=8)
+    p.add_argument("--frame-stride", type=_at_least(1), default=8)
     p.set_defaults(func=cmd_plot_data)
 
     return parser
@@ -535,9 +535,8 @@ def main(argv=None) -> int:
     # before any verb imports numpy, this makes idle workers sleep at once.
     # The thread count, and so every result bit, stays the same.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-    args = build_parser().parse_args(argv)
     try:
-        _check_paths(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError, ValueError) as exc:
         # ValueError covers the library's argument checks and its subclasses

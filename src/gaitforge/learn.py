@@ -377,10 +377,11 @@ def kfold_cv(data: Dataset, trainer: Callable[[Dataset], Callable], folds: int =
     """k-fold cross-validation of a trainer.
 
     ``trainer(train_set)`` must return a predictor mapping a feature matrix
-    to integer labels. A trainer with a ``fit_folds(train_sets)`` attribute,
-    which returns one predictor per set, gets up to LOCKSTEP_FOLDS training
-    sets per call instead. Accuracies are percentages per fold; the
-    aggregate uses the n-1 variance.
+    to integer labels. The folds are trained in groups of up to
+    LOCKSTEP_FOLDS training sets: a trainer with a ``fit_folds(train_sets)``
+    attribute, which returns one predictor per set, gets each group in one
+    call; any other trainer is called once per set of the group. Accuracies
+    are percentages per fold; the aggregate uses the n-1 variance.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
@@ -392,12 +393,9 @@ def kfold_cv(data: Dataset, trainer: Callable[[Dataset], Callable], folds: int =
         train_mask[test_idx] = False
         return data.subset(all_idx[train_mask])
 
-    fit_folds = getattr(trainer, "fit_folds", None)
-    if fit_folds is None:
-        predictors = (trainer(train_set(t)) for t in test_folds)
-    else:
-        groups = [test_folds[g:g + LOCKSTEP_FOLDS] for g in range(0, folds, LOCKSTEP_FOLDS)]
-        predictors = (p for group in groups for p in fit_folds([train_set(t) for t in group]))
+    fit_folds = getattr(trainer, "fit_folds", None) or (lambda sets: [trainer(s) for s in sets])
+    groups = [test_folds[g:g + LOCKSTEP_FOLDS] for g in range(0, folds, LOCKSTEP_FOLDS)]
+    predictors = (p for group in groups for p in fit_folds([train_set(t) for t in group]))
     accuracies = []
     for test_idx, predict in zip(test_folds, predictors):
         preds = np.asarray(predict(data.features[test_idx]))

@@ -203,6 +203,10 @@ def write_bad_inputs(work):
     for name, content in banks.items():
         (work / name).write_text(json.dumps(content))
     (work / "adir").mkdir()
+    # finite coordinates whose squares overflow
+    t = np.arange(40) * 0.01
+    write_rows(work / "huge.csv", "t,x,y,z", "%.2f,%.6g,%.6g,0.0",
+               zip(t, 1e200 * (6.0 + np.sin(9 * t)), 1e200 * (2.0 + t)))
 
 
 DATA = str(fixture_path("synthetic_gait_features.csv"))
@@ -222,6 +226,11 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
     (["classify", "--train", "missing.csv", "--test", DATA], "input not found: missing.csv\n"),
     (["classify", "--train", DATA, "--test", "missing.csv"], "input not found: missing.csv\n"),
     (["cv", "--data", "missing.csv"], "input not found: missing.csv\n"),
+    (["ingest", "--in", "huge.csv"], "huge.csv: series values must be finite\n"),
+    (["ingest", "--in", "huge.csv", "--smooth", "moving-average"],
+     "huge.csv: series values must be finite\n"),
+    (["ingest", "--in", "huge.csv", "--smooth", "spline"],
+     "huge.csv: series values must be finite\n"),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
     write_bad_inputs(tmp_path)
@@ -292,6 +301,80 @@ def test_option_a_method_ignores_is_still_checked_before_reading(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["push", "--force", "2", "--dir", "up"], "--dir: invalid choice"),
+    (["classify", "--train", "never.csv", "--test", "never.csv", "--out", "m.json",
+      "--k", "abc"], "--k: "),
+    (["cv", "--eta", "abc"], "--eta: "),
+    (["gen-gait"], "the following arguments are required: --out"),
+    ([], "the following arguments are required: command"),
+    (["push", "--force", "2", "--dir", "left", "--frob", "1"], "unrecognized arguments:"),
+    (["ingest", "--in", "never.csv", "--out", "a.csv", "--l", "3"], "ambiguous option:"),
+])
+def test_what_argparse_rejects_is_one_error_line(argv, prefix, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + prefix) and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--bins", "0", "--max-imfs", "0"], f"--bins: must lie in [1, {features.MAX_BINS}], got 0"),
+    (["--max-imfs", "0", "--bins", "0"], "--max-imfs: must be >= 1, got 0"),
+])
+def test_first_bad_option_on_the_command_line_is_reported(options, message, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert run(["features", "--in", "never.csv", "--out", str(out)] + options) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+TOP_HELP = """\
+usage: gaitforge [-h]
+                 {gen-gait,simulate-block,ca-predict,ingest,features,classify,cv,push,plot-data}
+                 ...
+
+Batch gait modeling, simulation, classification, and push recovery.
+
+positional arguments:
+  {gen-gait,simulate-block,ca-predict,ingest,features,classify,cv,push,plot-data}
+    gen-gait            generate a full six-joint gait cycle
+    simulate-block      rocking-block simulation with impacts
+    ca-predict          iterate the gait-state rule table
+    ingest              accelerometer CSV to joint angles
+    features            EMD features from a joint-angle CSV
+    classify            train on one CSV, score another
+    cv                  stratified k-fold cross-validation
+    push                push-recovery verdict as JSON
+    plot-data           two-column CSVs for the standard figures
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+PUSH_HELP = """\
+usage: gaitforge push [-h] --force FORCE --dir {left,right,forward,backward}
+                      [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --force FORCE
+  --dir {left,right,forward,backward}
+  --out OUT
+"""
+
+
+@pytest.mark.parametrize("argv, text", [(["--help"], TOP_HELP), (["push", "--help"], PUSH_HELP)])
+def test_help_still_prints_usage_and_exits_0(argv, text, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
     from gaitforge import rocking_block
 
@@ -358,14 +441,13 @@ def test_hostile_argument_value_exits_0_or_2(verb, hostile_dir, data):
     os.chdir(hostile_dir)
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:   # argparse rejected the value
-                rc = exc.code
+            rc = main(argv)
     finally:
         os.chdir(cwd)
     assert rc in (0, 2), argv
     assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
     if value == "" and option in PATH_OPTIONS_BY_VERB[verb]:
         # an empty path is an error, not an absent option
         assert rc == 2, argv
