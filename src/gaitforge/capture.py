@@ -210,8 +210,9 @@ def natural_spline(x, y, xs) -> np.ndarray:
     outside the knots extrapolate from the end pieces. The result equals
     scipy 1.17's ``CubicSpline(x, y, bc_type="natural")(xs)`` bit for bit,
     signed zeros included, because every step repeats its operation order:
-    EMD's ``count_extrema(residue) < 2`` stop reacts to the last bit of the
-    envelopes, so a spline that only agrees to rounding changes features.
+    EMD stops on a residue with fewer than two extrema, which reacts to the
+    last bit of the envelopes, so a spline that only agrees to rounding
+    changes features.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .fixtures import fixture_path
-from .tables import json_text, write_json, write_rows
+from .tables import json_text, read_json, write_json, write_rows
 
 if TYPE_CHECKING:
     from . import gait_model
@@ -109,8 +109,9 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
     if path is None:
         return gait_model.FieldBank.default()
     _open_inputs(path)
+    doc = read_json(path)
     try:
-        bank = gait_model.FieldBank.from_json(path)
+        bank = gait_model.FieldBank.from_dict(doc)
         bank.require_complete()
     except (ValueError, gait_model.MissingFieldError) as exc:
         raise InputError(f"{path}: malformed model bank: {exc}") from exc
@@ -304,13 +305,16 @@ def cmd_classify(args) -> int:
     trainer = _make_trainer(args, args.method)
     train = learn.Dataset.from_csv(args.train)
     test = learn.Dataset.from_csv(args.test)
+    if test.features.shape[1] != train.features.shape[1]:
+        raise InputError(f"{args.test}: {test.features.shape[1]} feature columns, "
+                         f"but {args.train} has {train.features.shape[1]}")
     if train.class_names != test.class_names:
         # align test labels onto the training class order
         mapping = {name: i for i, name in enumerate(train.class_names)}
         try:
             relabeled = np.array([mapping[test.class_names[l]] for l in test.labels])
         except KeyError as exc:
-            raise InputError(f"test set has unknown class {exc}") from exc
+            raise InputError(f"{args.test}: class {exc} is not in {args.train}") from exc
         test = learn.Dataset(test.features, relabeled, train.class_names)
     with _weight_limit():
         predict = trainer(train)

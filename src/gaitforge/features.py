@@ -123,8 +123,8 @@ def emd_decompose(signal, max_imfs: int = 10) -> tuple[list[IMF], np.ndarray]:
     residue = x.copy()
     imfs: list[IMF] = []
     while len(imfs) < max_imfs:
-        if count_extrema(residue) < 2:
-            break
+        # a residue with fewer than two interior extrema lacks a maximum or
+        # a minimum, so _sift's first envelope_mean returns None
         imf_values = _sift(residue)
         if imf_values is None:
             break

@@ -10,12 +10,12 @@ other.
 
 from __future__ import annotations
 
-import json
 from enum import Enum, IntEnum
 from functools import lru_cache
 
 from .fixtures import fixture_path
 from .records import FrozenRecord
+from .tables import read_json
 
 # Longest sequence predict_sequence builds; its states hold about 88 bytes each.
 MAX_STEPS = 1_000_000
@@ -79,8 +79,7 @@ def decode(state: CAState) -> tuple[Leg, SubPhase]:
 
 @lru_cache(maxsize=1)
 def _tables() -> tuple[dict[int, int], dict[SubPhase, SubPhase]]:
-    with open(fixture_path("ca_rules.json"), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(fixture_path("ca_rules.json"))
     nxt = {int(k, 2): int(v, 2) for k, v in doc["next"].items()}
     if sorted(nxt) != list(range(16)):
         raise ValueError("rule table must cover all 16 codes")

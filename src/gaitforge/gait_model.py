@@ -16,7 +16,6 @@ starts without numpy. Only the phase portrait, the fitting functions and
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from array import array
@@ -27,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .fixtures import fixture_path
 from .records import FrozenRecord, Record
-from .tables import ColumnRows, write_json, write_rows
+from .tables import ColumnRows, read_json, write_json, write_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -308,14 +307,13 @@ class FieldBank:
                     )
                 except KeyError as exc:
                     raise ValueError(f"field ({jkey}, {pkey}) has no {exc}") from None
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ValueError(f"field ({jkey}, {pkey}): {exc}") from None
         return cls(fields)
 
     @classmethod
     def from_json(cls, path) -> "FieldBank":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def save(self, path) -> None:
         write_json(path, self.to_dict(), digits=None)
@@ -472,13 +470,8 @@ class RangeTable:
         return self._rows.get(row, {}).get(jkey)
 
     @classmethod
-    def from_json(cls, path) -> "RangeTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(json.load(fh))
-
-    @classmethod
     def default(cls) -> "RangeTable":
-        return cls.from_json(fixture_path("joint_ranges.json"))
+        return cls(read_json(fixture_path("joint_ranges.json")))
 
 
 class RangeViolation(NamedTuple):

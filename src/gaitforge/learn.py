@@ -606,11 +606,13 @@ class AnovaResult(NamedTuple):
     p: float
 
     def as_dict(self) -> dict:
+        """The fields by their report names; an infinite F (groups with no
+        spread of their own that differ) is None, as JSON has no infinity."""
         return {
             "ss_between": self.ss_between, "ss_within": self.ss_within,
             "df_between": self.df_between, "df_within": self.df_within,
             "ms_between": self.ms_between, "ms_within": self.ms_within,
-            "F": self.f, "p": self.p,
+            "F": self.f if math.isfinite(self.f) else None, "p": self.p,
         }
 
 

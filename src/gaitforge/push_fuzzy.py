@@ -13,13 +13,13 @@ envelope and signal recovery-impossible instead of classifying as a fall.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .fixtures import fixture_path
 from .records import FrozenRecord
+from .tables import read_json
 
 
 class Direction(Enum):
@@ -129,8 +129,7 @@ class PushResponse(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _rules() -> dict:
-    with open(fixture_path("push_rules.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(fixture_path("push_rules.json"))
 
 
 def _trapezoid(x: float, abcd) -> float:

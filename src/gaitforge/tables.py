@@ -1,8 +1,10 @@
-"""The file formats of every verb: one CSV reader, one row writer (CSV and
-TSV) and one JSON writer. Numbers go out with six decimal places and text
-fields unquoted. :class:`ColumnRows` reads columnar results back as records.
-Only the standard library is used, so the verbs that load no numpy can use
-it too.
+"""The file formats of every verb: one CSV reader, one JSON reader, one row
+writer (CSV and TSV) and one JSON writer. The two readers are the only code
+that reads an input file, user's or fixture, and report its faults alike,
+as ``ValueError("{path}: line N: ...")``. Numbers go out with six decimal
+places and text fields unquoted. :class:`ColumnRows` reads columnar results
+back as records. Only the standard library is used, so the verbs that load
+no numpy can use it too.
 """
 
 from __future__ import annotations
@@ -30,15 +32,34 @@ def read_csv(path, header: Sequence[str],
     oversized field, a field that is not a finite number and no data rows
     raise ``ValueError("{path}: line N: ...")``.
     """
+    text = _read_text(path)
+    return _read_plain(text, header, labelled) or _read_rows(path, text, header, labelled)
+
+
+def read_json(path):
+    """The document in the JSON file ``path``. Text that is not UTF-8 or not
+    JSON raises ``ValueError("{path}: line N: ...")``; a document nested too
+    deep to parse, or an integer too long to convert, raises ``ValueError``
+    naming ``path``."""
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    except (RecursionError, ValueError):
+        raise ValueError(f"{path}: nesting too deep or an integer too long to read") from None
+
+
+def _read_text(path) -> str:
+    """The bytes of ``path`` decoded as UTF-8; other bytes raise
+    ``ValueError("{path}: line N: not UTF-8 text")``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
-    del data
-    return _read_plain(text, header, labelled) or _read_rows(path, text, header, labelled)
 
 
 def _header_matches(names: list[str], header: Sequence[str], labelled: bool) -> bool:

@@ -190,18 +190,33 @@ def test_features_rejects_unquotable_text_before_reading(option, value, tmp_path
     assert not (tmp_path / "f.csv").exists()
 
 
+# banks that fail before their shape is looked at: name -> (bytes, message prefix)
+UNREADABLE_BANKS = {
+    "syntax.json": (b'{"left_hip": {},\n "right_hip": {} "left_knee": {}}\n', "line 2: "),
+    "bytes.json": (b"\xff\xfe", "line 1: not UTF-8 text\n"),
+    "empty.json": (b"", "line 1: "),
+    "deep.json": (b"[" * 100_000, "nesting too deep or an integer too long to read\n"),
+    "long_int.json": (b"[" + b"1" * 5000 + b"]", ""),
+}
+
+
 def write_bad_inputs(work):
     doc = gm.FieldBank.default().to_dict()
     nan_coeff = json.loads(json.dumps(doc))
     nan_coeff["left_knee"]["MST"]["coeffs"][0] = float("nan")
+    huge_coeff = json.loads(json.dumps(doc))
+    huge_coeff["left_knee"]["MST"]["coeffs"][0] = 10 ** 400
     banks = {
         "list.json": [1, 2],
         "flat.json": {"left_hip": 5},
         "no_ankle.json": {k: v for k, v in doc.items() if k != "right_ankle"},
         "nan.json": nan_coeff,
+        "huge_int.json": huge_coeff,
     }
     for name, content in banks.items():
         (work / name).write_text(json.dumps(content))
+    for name, (content, _) in UNREADABLE_BANKS.items():
+        (work / name).write_bytes(content)
     (work / "adir").mkdir()
     # finite coordinates whose squares overflow
     t = np.arange(40) * 0.01
@@ -231,6 +246,9 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
      "huge.csv: series values must be finite\n"),
     (["ingest", "--in", "huge.csv", "--smooth", "spline"],
      "huge.csv: series values must be finite\n"),
+    (["gen-gait", "--model-bank", "huge_int.json"], "huge_int.json: malformed model bank: "),
+    *(([verb, "--model-bank", name], f"{name}: {prefix}")
+      for name, (_, prefix) in UNREADABLE_BANKS.items() for verb in ("gen-gait", "plot-data")),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
     write_bad_inputs(tmp_path)
@@ -613,6 +631,44 @@ def test_cv_on_a_saturating_column_prints_no_warning(tmp_path):
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("fold accuracies: ")
+
+
+def test_cv_writes_an_infinite_anova_f_as_null(tmp_path):
+    # four well-separated classes: every kNN fold scores 100 and every
+    # one-epoch MLP fold 50, so neither method spreads across its folds
+    rows = ["f0,f1,label"] + [
+        f"{cx + 0.1 * (i % 5):.1f},{cy + 0.1 * (i // 5):.1f},{label}"
+        for label, (cx, cy) in zip("abcd", ((0, 0), (10, 0), (0, 10), (10, 10)))
+        for i in range(10)]
+    (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+    out = tmp_path / "cv.json"
+    assert run(["cv", "--data", str(tmp_path / "d.csv"), "--method", "mlp", "--epochs", "1",
+                "--baseline", "knn", "--out", str(out)]) == 0
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads(out.read_text(), parse_constant=strict)
+    assert doc["fold_accuracies"] == [50.0] * 5
+    assert doc["baseline"]["fold_accuracies"] == [100.0] * 5
+    assert doc["anova"]["F"] is None and doc["anova"]["p"] == 0.0
+
+
+@pytest.mark.parametrize("method", ["knn", "mlp"])
+@pytest.mark.parametrize("test_csv, message", [
+    ("f0,f1,f2,label\n0.0,1.0,2.0,a\n", "te.csv: 3 feature columns, but tr.csv has 2\n"),
+    ("f0,f1,label\n0.0,1.0,x\n", "te.csv: class 'x' is not in tr.csv\n"),
+], ids=["width", "class"])
+def test_classify_names_the_test_file_that_does_not_fit(
+        method, test_csv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = [f"{i % 4 + 0.5 * (i % 2):.1f},{8.0 * (i % 2):.1f},{'ab'[i % 2]}" for i in range(20)]
+    (tmp_path / "tr.csv").write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+    (tmp_path / "te.csv").write_text(test_csv)
+    assert run(["classify", "--train", "tr.csv", "--test", "te.csv", "--out", "m.json",
+                "--method", method, "--epochs", "1"]) == 2
+    assert capsys.readouterr().err == "error: " + message
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_classify_metrics_report(tmp_path):

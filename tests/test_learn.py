@@ -505,6 +505,15 @@ def test_f_survival_matches_scipy_fdtrc(d1):
         assert f_survival(d1, d2, math.inf) == 0.0 == special.fdtrc(d1, d2, math.inf)
 
 
+def test_report_writes_an_infinite_f_as_null_and_a_finite_f_whole():
+    # groups with no spread of their own that differ: F is infinite
+    spread_free = anova_single_factor([[50.0, 50.0], [100.0, 100.0]])
+    assert spread_free.f == math.inf
+    assert spread_free.as_dict()["F"] is None and spread_free.as_dict()["p"] == 0.0
+    finite = anova_single_factor([[79.2, 80.1, 76.5], [86.0, 88.1, 85.2]])
+    assert finite.as_dict()["F"] == finite.f and math.isfinite(finite.f)
+
+
 def test_anova_preconditions():
     with pytest.raises(ValueError):
         anova_single_factor([[1.0, 2.0]])

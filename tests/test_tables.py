@@ -24,6 +24,32 @@ from gaitforge.tables import read_csv, write_json
 # readers
 # ---------------------------------------------------------------------------
 
+def test_read_json_returns_the_document(tmp_path):
+    doc = {"a": [1, 2.5, None, True], "b": {"c": "d\u00e9"}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    assert tables.read_json(path) == doc
+
+
+def test_read_json_names_the_faulty_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n "a": 1,\n "b": 2 "c": 3\n}\n')
+    with pytest.raises(ValueError) as fault:
+        tables.read_json(path)
+    assert str(fault.value) == f"{path}: line 3: Expecting ',' delimiter (column 9)"
+
+
+def test_read_json_rejects_bytes_as_read_csv_does(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'{"t": 1,\n "x": 2,\n "y": "\xff"}\n')
+    faults = []
+    for read in (tables.read_json, lambda p: read_csv(p, ("t", "x"))):
+        with pytest.raises(ValueError) as fault:
+            read(path)
+        faults.append(str(fault.value))
+    assert faults == [f"{path}: line 3: not UTF-8 text"] * 2
+
+
 # verb -> (header, one valid data row)
 READERS = {
     "ingest": ("t,x,y,z", "0.0,6.0,2.0,0.0"),
