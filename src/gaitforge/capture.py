@@ -194,12 +194,8 @@ def smooth_moving_average(series: TimeSeries) -> TimeSeries:
             nxt = _window3(cur)
             rms = float(np.sqrt(np.mean((nxt - cur[1:-1]) ** 2)))
             cur = nxt
-    if len(cur) == 1:
-        resampled = np.full(n, cur[0])
-    else:
-        resampled = np.interp(
-            np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, len(cur)), cur
-        )
+    # a single remaining sample (n = 3) interpolates to itself everywhere
+    resampled = np.interp(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, len(cur)), cur)
     return TimeSeries(resampled, series.dt)
 
 
@@ -305,11 +301,10 @@ def smooth_cubic_spline(series: TimeSeries, knot_stride: int = 5) -> TimeSeries:
     n = len(series)
     if n < 3:
         raise ValueError("need at least 3 samples to smooth")
+    # n >= 3, so the knots hold both 0 and n - 1
     idx = np.arange(0, n, knot_stride)
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
-    if len(idx) < 2:
-        return TimeSeries(series.values.copy(), series.dt)
     t = series.times
     return TimeSeries(natural_spline(t[idx], series.values[idx], t), series.dt)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,6 +70,13 @@ class _Parser(argparse.ArgumentParser):
     """Raise what argparse rejects, so :func:`main` reports it like any other
     bad input; subparsers inherit this through ``add_subparsers``."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a private argparse attribute: take any "-" before a digit, or before
+        # "." and a digit, as a negative number, so that "--x1 -5e-1" is a
+        # value and not an unknown option
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise InputError(message.removeprefix("argument "))
 
@@ -111,11 +119,9 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
     _open_inputs(path)
     doc = read_json(path)
     try:
-        bank = gait_model.FieldBank.from_dict(doc)
-        bank.require_complete()
+        return gait_model.FieldBank.from_dict(doc)
     except (ValueError, gait_model.MissingFieldError) as exc:
         raise InputError(f"{path}: malformed model bank: {exc}") from exc
-    return bank
 
 
 def _gait_config(args) -> gait_model.GaitModelConfig:
@@ -308,14 +314,13 @@ def cmd_classify(args) -> int:
     if test.features.shape[1] != train.features.shape[1]:
         raise InputError(f"{args.test}: {test.features.shape[1]} feature columns, "
                          f"but {args.train} has {train.features.shape[1]}")
-    if train.class_names != test.class_names:
-        # align test labels onto the training class order
-        mapping = {name: i for i, name in enumerate(train.class_names)}
-        try:
-            relabeled = np.array([mapping[test.class_names[l]] for l in test.labels])
-        except KeyError as exc:
-            raise InputError(f"{args.test}: class {exc} is not in {args.train}") from exc
-        test = learn.Dataset(test.features, relabeled, train.class_names)
+    # align test labels onto the training class order
+    mapping = {name: i for i, name in enumerate(train.class_names)}
+    try:
+        relabeled = np.array([mapping[test.class_names[l]] for l in test.labels])
+    except KeyError as exc:
+        raise InputError(f"{args.test}: class {exc} is not in {args.train}") from exc
+    test = learn.Dataset(test.features, relabeled, train.class_names)
     with _weight_limit():
         predict = trainer(train)
     preds = predict(test.features)

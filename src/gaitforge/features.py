@@ -57,18 +57,11 @@ def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     """Natural cubic spline through the extrema, with up to two extrema
     mirrored across each end so the envelope does not sag at the borders."""
     t = idx.astype(float)
-    v = vals
     k = min(2, len(idx))
-    left_t = 2 * 0.0 - t[:k][::-1]
-    left_v = v[:k][::-1]
-    right_t = 2 * float(n - 1) - t[-k:][::-1]
-    right_v = v[-k:][::-1]
-    tt = np.concatenate([left_t, t, right_t])
-    vv = np.concatenate([left_v, v, right_v])
-    tt, keep = np.unique(tt, return_index=True)
-    vv = vv[keep]
-    if len(tt) < 2:
-        return np.full(n, vv[0])
+    # interior extrema lie in [1, n - 2], so the mirrored knots stay outside
+    # [0, n - 1] and the knots are strictly increasing, at least 3 of them
+    tt = np.concatenate([-t[:k][::-1], t, 2.0 * (n - 1) - t[-k:][::-1]])
+    vv = np.concatenate([vals[:k][::-1], vals, vals[-k:][::-1]])
     return natural_spline(tt, vv, np.arange(n, dtype=float))
 
 

@@ -191,8 +191,8 @@ class PolynomialVectorField(FrozenRecord):
 
 
 def eval_vector_field(vf: PolynomialVectorField, x, strict: bool = False):
-    """Evaluate a field by Horner's scheme from ``acc = 0.0``, plus the
-    error offset.
+    """Evaluate a field by Horner's scheme, plus the error offset, with the
+    float operations generation uses (:func:`_grid_values`).
 
     With ``strict`` the coordinate must lie inside the field's valid
     interval. A number gives a float; an array or sequence gives a numpy
@@ -209,17 +209,14 @@ def eval_vector_field(vf: PolynomialVectorField, x, strict: bool = False):
         outside = strict and bool(np.any(x < lo) or np.any(x > hi))
     if outside:
         raise ValueError(f"coordinate outside valid interval [{lo}, {hi}]")
-    acc = 0.0
-    for c in vf.coefficients:
-        acc = acc * x + c
-    return acc + vf.error_offset
+    return next(_grid_values(vf, (x,)))
 
 
 def _grid_values(vf: PolynomialVectorField, xs):
-    """:func:`eval_vector_field` at each of the grid coordinates ``xs``,
-    lazily, with Horner unrolled per degree. On ``x >= 0`` its first step
-    ``0.0 * x + c0`` is ``c0 + 0.0`` (which turns a ``-0.0`` into ``+0.0``),
-    so every value has the same bits."""
+    """The field at each of the grid coordinates ``xs``, lazily, by Horner's
+    scheme unrolled per degree. The leading coefficient enters as
+    ``c0 + 0.0``, which is what ``0.0 * x + c0`` gives on ``x >= 0`` (a
+    ``-0.0`` turns into ``+0.0``)."""
     c0, *rest = vf.coefficients
     a, off = c0 + 0.0, vf.error_offset
     if len(rest) == 2:
@@ -254,13 +251,22 @@ class GaitModelConfig(FrozenRecord):
         return int(math.floor(self.schedule.x_max / self.tc)) + 1
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class FieldBank:
-    """The full 6-joint x 7-phase collection of vector fields."""
+    """The full 6-joint x 7-phase collection of vector fields. Building one
+    that lacks a (joint, phase) pair raises MissingFieldError for the first
+    such pair in JOINT_KEYS x GaitPhase order."""
 
     def __init__(self, fields: Mapping[str, Mapping[str, PolynomialVectorField]]):
         self._fields = {
             joint: dict(phases) for joint, phases in fields.items()
         }
+        for jkey in JOINT_KEYS:
+            for phase in GaitPhase:
+                self.get(jkey, phase)
 
     def get(self, jkey: str, phase: GaitPhase | str) -> PolynomialVectorField:
         pkey = phase.name if isinstance(phase, GaitPhase) else phase
@@ -268,11 +274,6 @@ class FieldBank:
             return self._fields[jkey][pkey]
         except KeyError:
             raise MissingFieldError(f"no field for ({jkey}, {pkey})") from None
-
-    def require_complete(self) -> None:
-        for jkey in JOINT_KEYS:
-            for phase in GaitPhase:
-                self.get(jkey, phase)
 
     def to_dict(self) -> dict:
         return {
@@ -289,8 +290,10 @@ class FieldBank:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "FieldBank":
-        """Build from ``{joint: {phase: {"coeffs", "error", "interval"}}}``;
-        a document of another shape raises ValueError."""
+        """Build from ``{joint: {phase: {"coeffs", "error", "interval"}}}``,
+        where ``coeffs`` and ``interval`` are lists of numbers and ``error``
+        a number; a document of another shape raises ValueError. A string
+        or a bool is not a number here."""
         if not isinstance(doc, Mapping):
             raise ValueError("expected an object keyed by joint")
         fields: dict[str, dict[str, PolynomialVectorField]] = {}
@@ -300,11 +303,12 @@ class FieldBank:
             fields[jkey] = {}
             for pkey, spec in phases.items():
                 try:
-                    fields[jkey][pkey] = PolynomialVectorField(
-                        coefficients=tuple(spec["coeffs"]),
-                        error_offset=float(spec["error"]),
-                        valid_interval=tuple(spec["interval"]),
-                    )
+                    coeffs, error, interval = spec["coeffs"], spec["error"], spec["interval"]
+                    if not (isinstance(coeffs, list) and isinstance(interval, list)
+                            and all(map(_is_number, coeffs + interval + [error]))):
+                        raise ValueError("coeffs and interval must be lists of numbers, "
+                                         "error a number")
+                    fields[jkey][pkey] = PolynomialVectorField(coeffs, float(error), interval)
                 except KeyError as exc:
                     raise ValueError(f"field ({jkey}, {pkey}) has no {exc}") from None
                 except (TypeError, ValueError, OverflowError) as exc:
@@ -371,7 +375,6 @@ def generate_gait_cycle(
     jerk if the trajectory is to be executed.
     """
     config = config or GaitModelConfig()
-    bank.require_complete()
     schedule = config.schedule
     tc = config.tc
     grid = array("d", [i * tc for i in range(config.n_samples)])

@@ -13,6 +13,7 @@ envelope and signal recovery-impossible instead of classifying as a fall.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, NamedTuple
@@ -77,7 +78,7 @@ class ForceInput(FrozenRecord):
 
     def __init__(self, magnitude: float,
                  direction: Direction | Mapping[Direction, float]):
-        if not magnitude >= 0.0:
+        if not (math.isfinite(magnitude) and magnitude >= 0.0):
             raise ValueError("force magnitude must be finite and >= 0")
         self._set(magnitude, direction)
 
@@ -140,8 +141,7 @@ def _trapezoid(x: float, abcd) -> float:
         return (x - a) / (b - a)
     if x <= c:
         return 1.0
-    if d == c:
-        return 1.0
+    # here c < x <= d, so d - c > 0
     return (d - x) / (d - c)
 
 
@@ -153,7 +153,7 @@ def fuzzify_force(magnitude: float) -> dict[str, float]:
     [0, 12] activates at least one term. Beyond 12 N the controller cannot
     recover and raises :class:`RecoveryImpossible`.
     """
-    if not magnitude >= 0.0:
+    if not (math.isfinite(magnitude) and magnitude >= 0.0):
         raise ValueError("force must be finite and >= 0")
     limit = _rules()["force_limit"]
     if magnitude > limit:
@@ -262,11 +262,11 @@ def lookup_strategy(magnitude: float, reaction_description) -> Strategy:
     The force bands overlap, so the magnitude may admit two bands; the row
     whose band contains the magnitude and whose reaction pair matches wins.
     """
+    if not (math.isfinite(magnitude) and magnitude >= 0.0):
+        raise ValueError("force must be finite and >= 0")
     limit = _rules()["force_limit"]
     if magnitude > limit:
         raise RecoveryImpossible(f"{magnitude} N exceeds the {limit} N envelope")
-    if magnitude < 0.0:
-        raise ValueError("force must be >= 0")
     roll, pitch = _parse_reaction_description(reaction_description)
     bands = _rules()["bands"]
     candidates = {

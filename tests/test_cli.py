@@ -117,6 +117,8 @@ OUT, ACC, ANGLES = "<out>", "<acc>", "<angles>"   # replaced by paths under tmp_
     ["ingest", "--in", ACC, "--l1", "1e308", "--out", OUT],
     ["ingest", "--in", ACC, "--l2", "1e308", "--out", OUT],
     ["ingest", "--in", ACC, "--l1", "1e-308", "--out", OUT],
+    ["push", "--force", "inf", "--dir", "left"],
+    ["push", "--force=1e400", "--dir", "left"],
 ])
 def test_bad_argument_exits_2_with_one_error_line(argv, tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
@@ -206,12 +208,22 @@ def write_bad_inputs(work):
     nan_coeff["left_knee"]["MST"]["coeffs"][0] = float("nan")
     huge_coeff = json.loads(json.dumps(doc))
     huge_coeff["left_knee"]["MST"]["coeffs"][0] = 10 ** 400
+    # numbers spelled as strings, or a bool, are not JSON numbers
+    text_coeffs = json.loads(json.dumps(doc))
+    text_coeffs["left_knee"]["MST"]["coeffs"] = "123"
+    text_list = json.loads(json.dumps(doc))
+    text_list["left_knee"]["MST"]["coeffs"] = ["1e-3", "2", "3"]
+    bool_error = json.loads(json.dumps(doc))
+    bool_error["left_knee"]["MST"]["error"] = True
     banks = {
         "list.json": [1, 2],
         "flat.json": {"left_hip": 5},
         "no_ankle.json": {k: v for k, v in doc.items() if k != "right_ankle"},
         "nan.json": nan_coeff,
         "huge_int.json": huge_coeff,
+        "text_coeffs.json": text_coeffs,
+        "text_list.json": text_list,
+        "bool_error.json": bool_error,
     }
     for name, content in banks.items():
         (work / name).write_text(json.dumps(content))
@@ -249,6 +261,9 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
     (["gen-gait", "--model-bank", "huge_int.json"], "huge_int.json: malformed model bank: "),
     *(([verb, "--model-bank", name], f"{name}: {prefix}")
       for name, (_, prefix) in UNREADABLE_BANKS.items() for verb in ("gen-gait", "plot-data")),
+    *(([verb, "--model-bank", name], f"{name}: malformed model bank: field (left_knee, MST): ")
+      for name in ("text_coeffs.json", "text_list.json", "bool_error.json")
+      for verb in ("gen-gait", "plot-data")),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
     write_bad_inputs(tmp_path)
@@ -391,6 +406,16 @@ def test_help_still_prints_usage_and_exits_0(argv, text, capsys, monkeypatch):
         run(argv)
     assert exc.value.code == 0
     assert capsys.readouterr() == (text, "")
+
+
+def test_a_negative_value_in_exponent_form_is_a_value(tmp_path, capsys):
+    plain, exponent = tmp_path / "plain.csv", tmp_path / "exponent.csv"
+    for x1, out in (("-0.5", plain), ("-5e-1", exponent)):
+        assert run(["simulate-block", "--x1", x1, "--t-end", "0.01", "--out", str(out)]) == 0
+    assert exponent.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    assert run(["push", "--force", "-1e-3", "--dir", "left"]) == 2
+    assert capsys.readouterr().err == "error: force magnitude must be finite and >= 0\n"
 
 
 def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):

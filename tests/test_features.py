@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from gaitforge.capture import natural_spline
 
 from gaitforge.features import (
     IMF,
@@ -13,6 +15,8 @@ from gaitforge.features import (
     emd_decompose,
     envelope_mean,
     feature_vector,
+    local_maxima,
+    local_minima,
     log_energy,
     quartile_stats,
     rms,
@@ -80,6 +84,49 @@ def test_residue_has_little_oscillation_left():
     imfs, residue = emd_decompose(signal)
     assert len(imfs) >= 1
     assert count_extrema(residue) < 2 or len(imfs) == 10
+
+
+def sorted_knot_spline(idx, vals, n):
+    """The mirrored-extrema envelope spline with its knots sorted and
+    deduplicated first, and a constant fallback below two knots."""
+    t = idx.astype(float)
+    k = min(2, len(idx))
+    tt = np.concatenate([2 * 0.0 - t[:k][::-1], t, 2 * float(n - 1) - t[-k:][::-1]])
+    vv = np.concatenate([vals[:k][::-1], vals, vals[-k:][::-1]])
+    tt, keep = np.unique(tt, return_index=True)
+    vv = vv[keep]
+    if len(tt) < 2:
+        return np.full(n, vv[0])
+    return natural_spline(tt, vv, np.arange(n, dtype=float))
+
+
+def two_extremum_walk(rise, fall, rise_again, step):
+    # up, down, up: one interior maximum, then one interior minimum
+    return np.cumsum([0.0] + [step] * rise + [-step] * fall + [step] * rise_again)
+
+
+WALKS = st.one_of(
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=299).map(
+        lambda steps: np.cumsum([0.0] + steps)),
+    st.builds(two_extremum_walk, st.integers(1, 99), st.integers(1, 99),
+              st.integers(1, 99), st.floats(1e-3, 1.0)),
+)
+
+
+@given(WALKS)
+@example(np.array([0.0, 1.0, -1.0, 0.0]))
+def test_envelope_knots_need_no_sorting(x):
+    # the mirrored knots are already strictly increasing, so sorting and
+    # deduplicating them changes no bit of the envelope mean
+    maxima, minima = local_maxima(x), local_minima(x)
+    mean = envelope_mean(x)
+    if len(maxima) == 0 or len(minima) == 0:
+        assert mean is None
+        return
+    n = len(x)
+    expected = (sorted_knot_spline(maxima, x[maxima], n)
+                + sorted_knot_spline(minima, x[minima], n)) / 2.0
+    assert mean.tobytes() == expected.tobytes()
 
 
 def test_short_signal_rejected():

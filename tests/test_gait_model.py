@@ -40,6 +40,12 @@ def naive_eval(vf, x):
     return total + vf.error_offset
 
 
+def polyval_eval(vf, x):
+    """Bitwise oracle for generation: numpy's Horner loop from y = 0.0, the
+    float operations generation performs at every x >= 0."""
+    return np.polyval(vf.coefficients, x) + vf.error_offset
+
+
 # ---------------------------------------------------------------------------
 # phase_of
 # ---------------------------------------------------------------------------
@@ -191,8 +197,8 @@ def test_boundary_report_oracle():
     gap = traj.boundary_report[0]
     assert gap.x == 0.5
     expected = abs(
-        eval_vector_field(bank.get("left_hip", GaitPhase.LR), 0.5)
-        - eval_vector_field(bank.get("left_hip", GaitPhase.MST), 0.5)
+        polyval_eval(bank.get("left_hip", GaitPhase.LR), 0.5)
+        - polyval_eval(bank.get("left_hip", GaitPhase.MST), 0.5)
     )
     assert gap.gaps["left_hip"] == pytest.approx(expected, abs=0.0)
 
@@ -203,7 +209,7 @@ def test_interior_samples_equal_field_eval_bitwise():
     for i, x in enumerate(traj.x):
         phase = GaitPhase(int(traj.phases[i]))
         for jkey in gm.JOINT_KEYS:
-            assert traj.angles[jkey][i] == eval_vector_field(bank.get(jkey, phase), float(x))
+            assert traj.angles[jkey][i] == polyval_eval(bank.get(jkey, phase), float(x))
 
 
 @pytest.mark.parametrize("schedule", ["guard", "percent"])
@@ -222,8 +228,8 @@ def test_last_grid_point_past_cycle_end_is_the_cycle_end(schedule):
     assert traj.phases[-1] == exact.phases[-1] == GaitPhase.TSW
     for jkey in gm.JOINT_KEYS:
         assert traj.angles[jkey][-1] == exact.angles[jkey][-1]
-        assert traj.angles[jkey][-1] == eval_vector_field(bank.get(jkey, GaitPhase.TSW),
-                                                          CYCLE_LENGTH)
+        assert traj.angles[jkey][-1] == polyval_eval(bank.get(jkey, GaitPhase.TSW),
+                                                     CYCLE_LENGTH)
 
 
 def test_generation_peaks_under_64_bytes_per_sample():
@@ -237,6 +243,13 @@ def test_generation_peaks_under_64_bytes_per_sample():
         tracemalloc.stop()
     assert len(traj) == 160_001
     assert peak / len(traj) <= 64
+
+
+def test_bank_without_a_field_is_refused_when_built():
+    doc = FieldBank.default().to_dict()
+    del doc["left_hip"]["MST"]
+    with pytest.raises(MissingFieldError, match=r"^no field for \(left_hip, MST\)$"):
+        FieldBank.from_dict(doc)
 
 
 def test_missing_field_is_configuration_error():
@@ -393,7 +406,7 @@ def reference_cycle(bank, config, cross_fade):
     phases = [reference_phase(float(x), schedule) for x in grid]
     angles = {
         jkey: np.array([
-            eval_vector_field(bank.get(jkey, phase), float(x))
+            polyval_eval(bank.get(jkey, phase), float(x))
             for x, phase in zip(grid, phases)
         ])
         for jkey in gm.JOINT_KEYS
@@ -408,8 +421,8 @@ def reference_cycle(bank, config, cross_fade):
                     continue
                 w = (x - lo) / (2.0 * half)
                 for jkey in gm.JOINT_KEYS:
-                    fa = eval_vector_field(bank.get(jkey, before), x)
-                    fb = eval_vector_field(bank.get(jkey, before.successor), x)
+                    fa = polyval_eval(bank.get(jkey, before), x)
+                    fb = polyval_eval(bank.get(jkey, before.successor), x)
                     angles[jkey][i] = (1.0 - w) * fa + w * fb
     return grid, phases, angles
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,16 @@ def test_lookup_accepts_pair_form_and_reversed_wording():
 def test_lookup_unmatched_row():
     with pytest.raises(LookupError):
         lookup_strategy(2.0, "Large Roll and Large Pitch")
+
+
+@pytest.mark.parametrize("force", [math.nan, math.inf, -1e-3])
+def test_a_push_force_must_be_finite_and_not_negative(force):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        ForceInput(force, Direction.LEFT)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        fuzzify_force(force)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        lookup_strategy(force, ("small", "small"))
 
 
 def test_lookup_rejects_garbage():
