@@ -72,10 +72,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a private argparse attribute: take any "-" before a digit, or before
-        # "." and a digit, as a negative number, so that "--x1 -5e-1" is a
-        # value and not an unknown option
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # a private argparse attribute: take any "-" before a digit, before
+        # "." and a digit, or before "inf" or "nan" in any case, as a negative
+        # number, so that "--x1 -5e-1" and "--x1 -inf" are values and not
+        # unknown options
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise InputError(message.removeprefix("argument "))

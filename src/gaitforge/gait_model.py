@@ -21,7 +21,6 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from enum import IntEnum
-from itertools import groupby
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .fixtures import fixture_path
@@ -46,8 +45,7 @@ DEFAULT_TC = 0.0167
 LINK_LENGTH = 0.4
 
 # Most grid points one cycle may be sampled on, reached at tc just above
-# 8e-7 on the default schedule: seven 16 MB float64 columns per trajectory
-# (and a 2 MB column of phase bytes).
+# 8e-7 on the default schedule: seven 16 MB float64 columns per trajectory.
 MAX_SAMPLES = 2_000_000
 
 
@@ -122,8 +120,8 @@ class PhaseSchedule(FrozenRecord):
         raise ValueError(f"unknown schedule preset {name!r}")
 
 
-def phases_of(xs, schedule: PhaseSchedule | None = None) -> array:
-    """Map cycle coordinates to gait-phase ordinals, one byte per coordinate.
+def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
+    """The gait phase of one cycle coordinate.
 
     Guards are strict, so a coordinate sitting exactly on a boundary belongs
     to the earlier phase; x = 0 is LR. Coordinates past the cycle end wrap
@@ -131,30 +129,21 @@ def phases_of(xs, schedule: PhaseSchedule | None = None) -> array:
     ValueError.
     """
     schedule = schedule or PhaseSchedule.guard()
-    boundaries, x_max = schedule.boundaries, schedule.x_max
-    phases = array("B")
-    for x in map(float, xs):
-        # bisect would place NaN past the last boundary, so check first
-        if not (math.isfinite(x) and x >= 0.0):
-            raise ValueError(f"cycle coordinate must be finite and >= 0, got {x}")
-        if x > x_max:
-            x = math.fmod(x, x_max)
-        phases.append(bisect_left(boundaries, x))
-    return phases
-
-
-def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
-    """Scalar form of :func:`phases_of`."""
-    return GaitPhase(phases_of([x], schedule)[0])
+    x = float(x)
+    # bisect would place NaN past the last boundary, so check first
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"cycle coordinate must be finite and >= 0, got {x}")
+    if x > schedule.x_max:
+        x = math.fmod(x, schedule.x_max)
+    return GaitPhase(bisect_left(schedule.boundaries, x))
 
 
 def _phase_runs(grid: array, schedule: PhaseSchedule) -> list[tuple[int, int, int]]:
     """``(phase ordinal, start, stop)`` slices of an increasing grid in
-    ``[0, x_max]``, in order.
+    ``[0, x_max]``, in order: the grid form of :func:`phase_of`.
 
     Phase k owns the coordinates in ``(b[k-1], b[k]]``, so its slice ends
-    where ``bisect_right`` puts ``b[k]``: the ordinals :func:`phases_of`
-    gives.
+    where ``bisect_right`` puts ``b[k]``.
     """
     runs, start = [], 0
     for k, b in enumerate(schedule.boundaries):
@@ -190,25 +179,19 @@ class PolynomialVectorField(FrozenRecord):
         return len(self.coefficients) - 1
 
 
-def eval_vector_field(vf: PolynomialVectorField, x, strict: bool = False):
+def eval_vector_field(vf: PolynomialVectorField, x):
     """Evaluate a field by Horner's scheme, plus the error offset, with the
     float operations generation uses (:func:`_grid_values`).
 
-    With ``strict`` the coordinate must lie inside the field's valid
-    interval. A number gives a float; an array or sequence gives a numpy
-    array, each element evaluated with the same float operations.
+    A number gives a float; an array or sequence gives a numpy array, each
+    element evaluated with the same float operations.
     """
-    lo, hi = vf.valid_interval
     if isinstance(x, (int, float)):
         x = float(x)
-        outside = strict and (x < lo or x > hi)
     else:
         import numpy as np
 
         x = np.asarray(x, dtype=float)
-        outside = strict and bool(np.any(x < lo) or np.any(x > hi))
-    if outside:
-        raise ValueError(f"coordinate outside valid interval [{lo}, {hi}]")
     return next(_grid_values(vf, (x,)))
 
 
@@ -315,16 +298,12 @@ class FieldBank:
                     raise ValueError(f"field ({jkey}, {pkey}): {exc}") from None
         return cls(fields)
 
-    @classmethod
-    def from_json(cls, path) -> "FieldBank":
-        return cls.from_dict(read_json(path))
-
     def save(self, path) -> None:
         write_json(path, self.to_dict(), digits=None)
 
     @classmethod
     def default(cls) -> "FieldBank":
-        return cls.from_json(fixture_path("tables_5_1_to_5_6.json"))
+        return cls.from_dict(read_json(fixture_path("tables_5_1_to_5_6.json")))
 
 
 class BoundaryGap(NamedTuple):
@@ -339,14 +318,14 @@ class BoundaryGap(NamedTuple):
 class JointTrajectorySet(Record):
     """Six joint-angle sequences sampled on a shared cycle grid, as
     ``array("d")`` columns: the grid ``x`` (strictly increasing, step
-    ``tc``), ``angles`` in degrees by joint key, and ``phases``, an
-    ``array("B")`` of one GaitPhase ordinal per grid point."""
+    ``tc``, in ``[0, schedule.x_max]``) and ``angles`` in degrees by joint
+    key."""
 
-    __slots__ = ("x", "angles", "phases", "tc", "schedule", "boundary_report")
+    __slots__ = ("x", "angles", "tc", "schedule", "boundary_report")
 
-    def __init__(self, x: array, angles: dict[str, array], phases: array, tc: float,
+    def __init__(self, x: array, angles: dict[str, array], tc: float,
                  schedule: PhaseSchedule, boundary_report: list[BoundaryGap] | None = None):
-        self.x, self.angles, self.phases = x, angles, phases
+        self.x, self.angles = x, angles
         self.tc, self.schedule = tc, schedule
         self.boundary_report = [] if boundary_report is None else boundary_report
 
@@ -382,9 +361,6 @@ def generate_gait_cycle(
     # point is the cycle end, and takes the last phase as an exact grid does
     grid[-1] = min(grid[-1], schedule.x_max)
     runs = _phase_runs(grid, schedule)
-    phases = array("B")
-    for k, start, stop in runs:
-        phases.frombytes(bytes((k,)) * (stop - start))
 
     # one Horner pass per (joint, phase) over that phase's slice of the grid
     angles: dict[str, array] = {}
@@ -425,7 +401,7 @@ def generate_gait_cycle(
                     angles[jkey][i] = (1.0 - w) * fa + w * fb
 
     return JointTrajectorySet(
-        x=grid, angles=angles, phases=phases, tc=tc, schedule=schedule,
+        x=grid, angles=angles, tc=tc, schedule=schedule,
         boundary_report=report,
     )
 
@@ -552,13 +528,7 @@ def validate_ranges(
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     ranges = ranges or RangeTable.default()
-    # (phase, start, stop) for each run of equal phases; a generated
-    # trajectory has one per phase
-    runs, start = [], 0
-    for k, group in groupby(traj.phases):
-        stop = start + sum(1 for _ in group)
-        runs.append((k, start, stop))
-        start = stop
+    runs = _phase_runs(traj.x, traj.schedule)
     report = ValidationReport(checked=0, joint=array("B"), index=array("q"), x=array("d"),
                               phase=array("B"), angle=array("d"), lo=array("d"), hi=array("d"))
     for j, jkey in enumerate(JOINT_KEYS):
@@ -621,14 +591,13 @@ def fit_vector_field(
     xs: Sequence[float],
     ys: Sequence[float],
     degree: int,
-    valid_interval: tuple[float, float] | None = None,
 ) -> tuple[PolynomialVectorField, float]:
     """Ordinary least-squares polynomial fit of captured (x, angle) samples.
 
     Solves the normal equations after scaling each Vandermonde column to
     unit norm, which keeps the system well conditioned on the narrow phase
-    intervals. Returns the fitted field (error offset zero) and the residual
-    RMS.
+    intervals. Returns the fitted field (error offset zero, valid over the
+    samples' span clipped to the cycle) and the residual RMS.
     """
     import numpy as np
 
@@ -650,12 +619,11 @@ def fit_vector_field(
         raise SingularFitError("normal system is rank deficient")
     coeffs = np.linalg.solve(gram, v_scaled.T @ y) / scale
 
-    if valid_interval is None:
-        lo = max(0.0, float(x.min()))
-        hi = min(CYCLE_LENGTH, float(x.max()))
-        valid_interval = (lo, hi) if hi > lo else (0.0, CYCLE_LENGTH)
+    lo = max(0.0, float(x.min()))
+    hi = min(CYCLE_LENGTH, float(x.max()))
     vf = PolynomialVectorField(
-        coefficients=tuple(coeffs), error_offset=0.0, valid_interval=valid_interval
+        coefficients=tuple(coeffs), error_offset=0.0,
+        valid_interval=(lo, hi) if hi > lo else (0.0, CYCLE_LENGTH),
     )
     residual = y - eval_vector_field(vf, x)
     return vf, float(np.sqrt(np.mean(residual * residual)))

@@ -40,17 +40,13 @@ class Strategy(Enum):
 
     @property
     def severity(self) -> int:
-        return _SEVERITY[self]
+        """Position in declaration order, mildest first."""
+        return list(Strategy).index(self)
 
     @property
     def is_fall(self) -> bool:
         return self.severity >= 3
 
-
-_SEVERITY = {
-    Strategy.ANKLE: 0, Strategy.KNEE: 1, Strategy.HIP: 2,
-    Strategy.FALL_FRONTAL: 3, Strategy.FALL_SIDEWAYS: 4, Strategy.FALL: 5,
-}
 
 REACTION_KEYS = (
     "small_roll", "average_roll", "large_roll",
@@ -145,6 +141,16 @@ def _trapezoid(x: float, abcd) -> float:
     return (d - x) / (d - c)
 
 
+def _check_force(magnitude: float) -> None:
+    """A magnitude the controller can act on: finite, >= 0 and inside the
+    envelope, past which it raises :class:`RecoveryImpossible`."""
+    if not (math.isfinite(magnitude) and magnitude >= 0.0):
+        raise ValueError("force magnitude must be finite and >= 0")
+    limit = _rules()["force_limit"]
+    if magnitude > limit:
+        raise RecoveryImpossible(f"{magnitude} N exceeds the {limit} N envelope")
+
+
 def fuzzify_force(magnitude: float) -> dict[str, float]:
     """Membership of a push magnitude in {small, average, large}.
 
@@ -153,11 +159,7 @@ def fuzzify_force(magnitude: float) -> dict[str, float]:
     [0, 12] activates at least one term. Beyond 12 N the controller cannot
     recover and raises :class:`RecoveryImpossible`.
     """
-    if not (math.isfinite(magnitude) and magnitude >= 0.0):
-        raise ValueError("force must be finite and >= 0")
-    limit = _rules()["force_limit"]
-    if magnitude > limit:
-        raise RecoveryImpossible(f"{magnitude} N exceeds the {limit} N envelope")
+    _check_force(magnitude)
     return {
         name: _trapezoid(magnitude, abcd)
         for name, abcd in _rules()["force_sets"].items()
@@ -262,11 +264,7 @@ def lookup_strategy(magnitude: float, reaction_description) -> Strategy:
     The force bands overlap, so the magnitude may admit two bands; the row
     whose band contains the magnitude and whose reaction pair matches wins.
     """
-    if not (math.isfinite(magnitude) and magnitude >= 0.0):
-        raise ValueError("force must be finite and >= 0")
-    limit = _rules()["force_limit"]
-    if magnitude > limit:
-        raise RecoveryImpossible(f"{magnitude} N exceeds the {limit} N envelope")
+    _check_force(magnitude)
     roll, pitch = _parse_reaction_description(reaction_description)
     bands = _rules()["bands"]
     candidates = {

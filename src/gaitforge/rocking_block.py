@@ -191,18 +191,17 @@ def _locate_crossing(left: bool, x1: float, x2: float, dt: float, alpha: float,
     return hi, cx1, cx2
 
 
-def simulate(init: BlockState, params: BlockParams, t_end: float,
-             max_impacts: int = MAX_IMPACTS) -> BlockTrace:
+def simulate(init: BlockState, params: BlockParams, t_end: float) -> BlockTrace:
     """Integrate with impact events until ``t_end``.
 
     A crossing of x1 = 0 with the guard's velocity sign triggers the reset:
     velocity scaled by r, mode flipped. The trace records every integrator
     state plus the post-impact states; impacts carry pre and post velocity.
     Simulation stops early with status ``"at_rest"`` once the post-impact
-    speed drops below 1e-12, and raises :class:`ZenoError` past the impact
-    budget. A non-finite initial state, a ``t_end`` that is negative or not
-    finite, and a run of more than :data:`MAX_STATES` steps raise
-    ``ValueError`` before the first step.
+    speed drops below 1e-12, and raises :class:`ZenoError` past
+    :data:`MAX_IMPACTS` impacts. A non-finite initial state, a ``t_end``
+    that is negative or not finite, and a run of more than
+    :data:`MAX_STATES` steps raise ``ValueError`` before the first step.
     """
     if not all(map(isfinite, (init.x1, init.x2, init.t))):
         raise ValueError(f"initial state must be finite, got {init}")
@@ -240,8 +239,8 @@ def simulate(init: BlockState, params: BlockParams, t_end: float,
                 t += h
                 post = r * cx2
                 impacts.append(ImpactEvent(t=t, pre_velocity=cx2, post_velocity=post))
-                if len(impacts) > max_impacts:
-                    raise ZenoError(f"more than {max_impacts} impacts")
+                if len(impacts) > MAX_IMPACTS:
+                    raise ZenoError(f"more than {MAX_IMPACTS} impacts")
                 left, x1, x2 = not left, cx1, post
                 add_t(t)
                 add_mode(not left)

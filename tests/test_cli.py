@@ -418,6 +418,23 @@ def test_a_negative_value_in_exponent_form_is_a_value(tmp_path, capsys):
     assert capsys.readouterr().err == "error: force magnitude must be finite and >= 0\n"
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-NaN"])
+def test_a_negative_non_finite_value_is_a_value(value, tmp_path, capsys):
+    # not an unknown option: the value reaches the check that rejects it
+    out = tmp_path / "trace.csv"
+    errs = []
+    for argv in (["--x1", value], [f"--x1={value}"]):
+        assert run(["simulate-block", *argv, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: initial state must be finite")
+    assert list(tmp_path.iterdir()) == []
+    assert run(["push", "--force", value, "--dir", "left"]) == 2
+    assert capsys.readouterr() == ("", "error: force magnitude must be finite and >= 0\n")
+
+
 def test_simulate_block_zeno_exits_2(tmp_path, capsys, monkeypatch):
     from gaitforge import rocking_block
 

@@ -368,5 +368,5 @@ def test_result_records_stay_mutable():
             hash(record)
         with pytest.raises(AttributeError):
             record.extra = 1
-    assert gait_model.JointTrajectorySet(traj.x, traj.angles, traj.phases, traj.tc,
+    assert gait_model.JointTrajectorySet(traj.x, traj.angles, traj.tc,
                                          traj.schedule).boundary_report == []

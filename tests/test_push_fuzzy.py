@@ -126,6 +126,13 @@ def test_argmax_invariant_under_uniform_scaling():
         assert fis2_infer(ReactionMembership(**scaled)).strategy == ref
 
 
+def test_strategy_severity_is_the_declaration_order():
+    assert [(s.value, s.severity, s.is_fall) for s in Strategy] == [
+        ("ankle", 0, False), ("knee", 1, False), ("hip", 2, False),
+        ("fall_frontal", 3, True), ("fall_sideways", 4, True), ("fall", 5, True),
+    ]
+
+
 def test_ties_resolve_to_lower_severity():
     out = fis2_infer(ReactionMembership(average_roll=0.5, average_pitch=0.5,
                                         small_roll=0.5, small_pitch=0.5))
@@ -191,11 +198,12 @@ def test_lookup_unmatched_row():
 
 @pytest.mark.parametrize("force", [math.nan, math.inf, -1e-3])
 def test_a_push_force_must_be_finite_and_not_negative(force):
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    rule = "^force magnitude must be finite and >= 0$"
+    with pytest.raises(ValueError, match=rule):
         ForceInput(force, Direction.LEFT)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=rule):
         fuzzify_force(force)
-    with pytest.raises(ValueError, match="finite and >= 0"):
+    with pytest.raises(ValueError, match=rule):
         lookup_strategy(force, ("small", "small"))
 
 

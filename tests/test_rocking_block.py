@@ -168,10 +168,11 @@ def test_energy_non_increasing_across_whole_trace():
     assert np.all(diffs <= 1e-9)
 
 
-def test_zeno_guard():
+def test_zeno_guard(monkeypatch):
+    monkeypatch.setattr(rocking_block, "MAX_IMPACTS", 5)
     params = BlockParams(alpha=0.3, r=0.5, dt=1e-3, restoring_sign=True)
     with pytest.raises(ZenoError):
-        simulate(BlockState(Mode.LEFT, -0.3, 0.0), params, 50.0, max_impacts=5)
+        simulate(BlockState(Mode.LEFT, -0.3, 0.0), params, 50.0)
 
 
 def test_block_comes_to_rest():
@@ -314,13 +315,14 @@ def test_simulate_matches_the_per_step_reference_bit_for_bit(init, params, t_end
     assert [impact_bits(e) for e in trace.impacts] == [impact_bits(e) for e in impacts]
 
 
-def test_zeno_guard_raises_as_the_reference_does():
+def test_zeno_guard_raises_as_the_reference_does(monkeypatch):
+    monkeypatch.setattr(rocking_block, "MAX_IMPACTS", 5)
     params = BlockParams(alpha=0.3, r=0.5, dt=1e-3, restoring_sign=True)
     init = BlockState(Mode.LEFT, -0.3, 0.0)
     with pytest.raises(ZenoError) as want:
         reference_simulate(init, params, 50.0, max_impacts=5)
     with pytest.raises(ZenoError) as got:
-        simulate(init, params, 50.0, max_impacts=5)
+        simulate(init, params, 50.0)
     assert str(got.value) == str(want.value) == "more than 5 impacts"
 
 
