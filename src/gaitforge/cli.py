@@ -6,15 +6,19 @@ places. Bad input (a missing or malformed file, an out-of-range argument,
 or anything argparse rejects: a non-number, a bad choice, a missing or
 unknown option or verb) exits with status 2 and a one-line ``error:``
 message, line-numbered where one applies, and no usage text; ``--help``
-still prints usage. Each option's ``type=`` checks what its own value
-allows, so options are checked as they are parsed and the first bad one on
-the command line is reported.
+still prints usage. An option whose ``type=`` checks its value is checked as
+it is parsed, so the first such bad option on the command line is reported.
+The library checks the rest when the verb runs, in the verb's own order:
+``simulate-block``'s ``--alpha``, ``--r``, ``--dt``, ``--x1``, ``--x2`` and
+``--t-end``, ``ca-predict``'s ``--init`` and ``--n``, ``push --force`` and
+``--tc``. So ``simulate-block --dt 0 --alpha 5`` reports ``--alpha``.
 
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
-without ``inspect`` either; the rest load numpy, and report a missing input
-before they do. No verb needs scipy, and none loads ``dataclasses``.
+without ``inspect``, ``pathlib`` or ``importlib.resources`` either; the
+rest load numpy, and report a missing input before they do. No verb needs
+scipy, and none loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .fixtures import fixture_path
@@ -158,7 +161,7 @@ def cmd_gen_gait(args) -> int:
             for gap in traj.boundary_report
         ]
     }
-    write_json(str(args.out) + ".report.json", report)
+    write_json(args.out + ".report.json", report)
     validation = gait_model.validate_ranges(traj)
     print(f"wrote {len(traj)} samples to {args.out}")
     print("range check:", validation.summary())
@@ -393,15 +396,15 @@ def cmd_plot_data(args) -> int:
 
     from . import capture, features
 
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = args.out_dir
+    os.makedirs(outdir, exist_ok=True)
     traj = gait_model.generate_gait_cycle(bank, config)
 
     # phase portraits, one file per joint
     for jkey in gait_model.JOINT_KEYS:
         cycle = gait_model.limit_cycle(traj, jkey)
-        write_rows(outdir / f"limit_cycle_{jkey}.csv", "angle,velocity", "%.6f,%.6f",
-                   cycle.points.tolist())
+        write_rows(os.path.join(outdir, f"limit_cycle_{jkey}.csv"), "angle,velocity",
+                   "%.6f,%.6f", cycle.points.tolist())
 
     # stick-figure frames from hip/knee angles via forward kinematics
     geom = capture.TwoLinkGeometry(l1=gait_model.LINK_LENGTH, l2=gait_model.LINK_LENGTH)
@@ -414,7 +417,7 @@ def cmd_plot_data(args) -> int:
             t1 = hips[i] - np.pi / 2.0
             elbow, tip = capture.fk_two_link(float(t1), float(knees[i]), geom)
             points += [(0.0, 0.0), elbow, tip]
-        write_rows(outdir / f"stick_{side}.csv", "x,y", "%.6f,%.6f", points)
+        write_rows(os.path.join(outdir, f"stick_{side}.csv"), "x,y", "%.6f,%.6f", points)
 
     # box-plot statistics of each trajectory IMF
     imfs, _ = features.emd_decompose(traj.angles["left_hip"])
@@ -423,7 +426,7 @@ def cmd_plot_data(args) -> int:
         q = features.quartile_stats(imf.values)
         stats += [(imf.index, value) for value in (q.q1 - 1.5 * q.iqr, q.q1, q.q2,
                                                    q.q3, q.q3 + 1.5 * q.iqr)]
-    write_rows(outdir / "box_stats.csv", "imf_index,value", "%d,%.6f", stats)
+    write_rows(os.path.join(outdir, "box_stats.csv"), "imf_index,value", "%d,%.6f", stats)
     print(f"wrote plot data to {outdir}")
     return 0
 

@@ -1,24 +1,20 @@
 """Bundled data tables (model bank, rule tables, angle ranges).
 
 The JSON files here are the single source of truth for both the runtime and
-the test suite. Set ``GAITFORGE_FIXTURES`` to point at a directory with
-replacement files.
+the test suite. They are found next to this module, so the package must be
+installed as files, not imported from a zip. Set ``GAITFORGE_FIXTURES`` to
+point at a directory with replacement files.
 """
 
 import os
-from importlib import resources
-from pathlib import Path
 
 
-def fixture_dir() -> Path:
-    override = os.environ.get("GAITFORGE_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(resources.files(__name__))
+def fixture_dir() -> str:
+    return os.environ.get("GAITFORGE_FIXTURES") or os.path.dirname(__file__)
 
 
-def fixture_path(name: str) -> Path:
-    path = fixture_dir() / name
-    if not path.exists():
-        raise FileNotFoundError(f"fixture {name!r} not found in {path.parent}")
+def fixture_path(name: str) -> str:
+    path = os.path.join(fixture_dir(), name)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"fixture {name!r} not found in {os.path.dirname(path)}")
     return path

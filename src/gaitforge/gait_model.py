@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .fixtures import fixture_path
 from .records import FrozenRecord, Record
-from .tables import ColumnRows, read_json, write_json, write_rows
+from .tables import ColumnRows, read_json, write_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -298,9 +298,6 @@ class FieldBank:
                     raise ValueError(f"field ({jkey}, {pkey}): {exc}") from None
         return cls(fields)
 
-    def save(self, path) -> None:
-        write_json(path, self.to_dict(), digits=None)
-
     @classmethod
     def default(cls) -> "FieldBank":
         return cls.from_dict(read_json(fixture_path("tables_5_1_to_5_6.json")))
@@ -439,9 +436,6 @@ class RangeTable:
             }
             for row, joints in rows.items()
         }
-
-    def rows(self) -> tuple[str, ...]:
-        return tuple(self._rows)
 
     def interval(self, row: str | GaitPhase, jkey: str):
         if isinstance(row, GaitPhase):

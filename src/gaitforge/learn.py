@@ -309,13 +309,6 @@ def _one_hot(data: Dataset, layers: tuple[int, ...]) -> np.ndarray:
     return np.eye(data.n_classes)[data.labels]
 
 
-def mlp_train(data: Dataset, layers: Sequence[int], eta: float, epochs: int,
-              seed: int = 42) -> MlpModel:
-    """Train on a labeled dataset with one-hot targets."""
-    layers = tuple(int(n) for n in layers)
-    return mlp_train_raw(data.features, _one_hot(data, layers), layers, eta, epochs, seed=seed)
-
-
 def mlp_classify(model: MlpModel, x) -> int:
     return int(np.argmax(mlp_predict(model, x)))
 

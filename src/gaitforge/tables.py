@@ -192,24 +192,22 @@ class ColumnRows(Sequence):
         return isinstance(other, Sequence) and list(self) == list(other)
 
 
-def _rounded(obj, digits: int):
+def _rounded(obj):
     if isinstance(obj, float):
-        return round(obj, digits)
+        return round(obj, 6)
     if isinstance(obj, dict):
-        return {k: _rounded(v, digits) for k, v in obj.items()}
+        return {k: _rounded(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_rounded(v, digits) for v in obj]
+        return [_rounded(v) for v in obj]
     return obj
 
 
-def json_text(doc, digits: int | None = 6) -> str:
+def json_text(doc) -> str:
     """``doc`` as JSON with sorted keys and one-space indents, every float
-    rounded to ``digits`` places (``None`` keeps them whole)."""
-    if digits is not None:
-        doc = _rounded(doc, digits)
-    return json.dumps(doc, indent=1, sort_keys=True)
+    rounded to six places."""
+    return json.dumps(_rounded(doc), indent=1, sort_keys=True)
 
 
-def write_json(path, doc, digits: int | None = 6) -> None:
+def write_json(path, doc) -> None:
     """Write :func:`json_text` of ``doc`` and a newline to ``path``."""
-    write_rows(path, None, "%s", [(json_text(doc, digits),)])
+    write_rows(path, None, "%s", [(json_text(doc),)])

@@ -364,6 +364,22 @@ def test_first_bad_option_on_the_command_line_is_reported(options, message, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate-block", "--dt", "0", "--alpha", "5", "--out", "x.csv"],
+     "alpha must lie in (0, pi/2)"),
+    (["ca-predict", "--n", "0", "--init", "2"],
+     "expected a 4-character binary string, got '2'"),
+])
+def test_options_the_library_checks_are_reported_in_the_verbs_order(argv, message, tmp_path,
+                                                                      capsys, monkeypatch):
+    # no parser type checks these options, so the verb's first check wins,
+    # not the first bad option on the command line
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 TOP_HELP = """\
 usage: gaitforge [-h]
                  {gen-gait,simulate-block,ca-predict,ingest,features,classify,cv,push,plot-data}
@@ -744,6 +760,19 @@ def test_plot_data_outputs(tmp_path):
     assert len(first[1].split(",")) == 2
 
 
+def test_plot_data_prints_the_out_dir_as_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["plot-data", "--tc", "0.05", "--out-dir", "plain"]) == 0
+    assert capsys.readouterr().out == "wrote plot data to plain\n"
+    # a trailing separator is kept, and missing parents are made
+    assert run(["plot-data", "--tc", "0.05", "--out-dir", "nested/plots/"]) == 0
+    assert capsys.readouterr().out == "wrote plot data to nested/plots/\n"
+    plain = sorted(Path("plain").iterdir())
+    assert [p.name for p in plain] == sorted(p.name for p in Path("nested/plots").iterdir())
+    for path in plain:
+        assert (Path("nested/plots") / path.name).read_bytes() == path.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # fixture directory override
 # ---------------------------------------------------------------------------
@@ -763,7 +792,7 @@ def test_fixture_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GAITFORGE_FIXTURES", str(tmp_path))
     gait_ca._tables.cache_clear()
     try:
-        assert fixture_dir() == tmp_path
+        assert fixture_dir() == str(tmp_path)
         state = gait_ca.CAState.from_bits("0000")
         assert gait_ca.next_state(state).bits == "1111"
     finally:

@@ -6,9 +6,11 @@ would slow every verb without failing anything else. ``push``,
 ``gaitforge.gait_model`` itself) load no numpy, and no ``inspect`` either,
 which with ``dataclasses`` took about a third of their own start-up;
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` do not load
-``gaitforge.push_fuzzy``. A missing input file is reported before numpy
-loads. A verb that loads numpy loads it with ``OPENBLAS_THREAD_TIMEOUT``
-set, to 4 unless the caller set it.
+``gaitforge.push_fuzzy``. Started without ``site`` (``python -S``), those
+four verbs load neither ``pathlib`` nor ``importlib.resources`` (nor the
+``zipfile`` and ``tempfile`` it brings). A missing input file is reported
+before numpy loads. A verb that loads numpy loads it with
+``OPENBLAS_THREAD_TIMEOUT`` set, to 4 unless the caller set it.
 
 Every case runs in a fresh interpreter, since this test process has long
 since imported both. The probe blocks scipy (``sys.modules["scipy"] = None``)
@@ -47,12 +49,13 @@ print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy", "dataclasse
 """
 
 
-def probe_result(argv, cwd, probe=PROBE, env=None, rc=0):
+def probe_result(argv, cwd, probe=PROBE, env=None, rc=0, flags=()):
     """The probe's JSON line after ``cli.main(argv)`` returned ``rc``, with
-    the interpreter's stderr under "stderr"."""
+    the interpreter's stderr under "stderr"; ``flags`` go to the
+    interpreter."""
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], cwd=cwd,
+    done = subprocess.run([sys.executable, *flags, "-c", probe, json.dumps(argv)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
@@ -61,8 +64,8 @@ def probe_result(argv, cwd, probe=PROBE, env=None, rc=0):
     return result
 
 
-def loaded_after(argv, cwd, probe=PROBE):
-    return set(probe_result(argv, cwd, probe)["loaded"])
+def loaded_after(argv, cwd, probe=PROBE, flags=()):
+    return set(probe_result(argv, cwd, probe, flags=flags)["loaded"])
 
 
 def write_inputs(base: Path) -> None:
@@ -123,7 +126,7 @@ def test_non_finite_block_state_is_reported_by_its_repr(tmp_path):
 def test_verb_runs_without_numpy(argv, tmp_path):
     from gaitforge.gait_model import FieldBank
 
-    FieldBank.default().save(tmp_path / "bank.json")
+    (tmp_path / "bank.json").write_text(json.dumps(FieldBank.default().to_dict()))
     assert loaded_after(argv, tmp_path) == set()
 
 
@@ -156,6 +159,20 @@ def test_verb_runs_without_scipy(argv, tmp_path):
     write_inputs(tmp_path)
     loaded = loaded_after(argv, tmp_path)
     assert "scipy" not in loaded and "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["push", "--force", "5", "--dir", "left"],
+    ["ca-predict", "--init", "0101", "--n", "4"],
+    ["simulate-block", "--t-end", "1", "--out", "trace.csv"],
+    ["gen-gait", "--out", "cycle.tsv"],
+])
+def test_verb_runs_without_pathlib_or_importlib_resources(argv, tmp_path):
+    # -S skips site, whose .pth files may import both before gaitforge starts
+    probe = PROBE.replace('("numpy", "scipy", "dataclasses", "inspect")',
+                          '("pathlib", "importlib.resources", "zipfile", "tempfile")')
+    assert probe != PROBE
+    assert loaded_after(argv, tmp_path, probe, flags=["-S"]) == set()
 
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it; the spy

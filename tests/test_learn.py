@@ -31,7 +31,6 @@ from gaitforge.learn import (
     mlp_gradients,
     mlp_init,
     mlp_predict,
-    mlp_train,
     mlp_train_lockstep,
     mlp_train_raw,
     mlp_trainer,
@@ -213,11 +212,12 @@ def test_training_deterministic_given_seed():
 
 def test_dataset_training_and_dimension_checks():
     data = two_blobs(n_per=15)
-    model = mlp_train(data, (2, 6, 2), eta=0.3, epochs=150, seed=2)
+    model = mlp_train_raw(data.features, np.eye(2)[data.labels], (2, 6, 2), eta=0.3,
+                          epochs=150, seed=2)
     preds = [mlp_classify(model, x) for x in data.features]
     assert np.mean(np.array(preds) == data.labels) > 0.9
-    with pytest.raises(ValueError):
-        mlp_train(data, (2, 6, 3), eta=0.3, epochs=1)
+    with pytest.raises(ValueError, match="number of classes"):
+        mlp_trainer((2, 6, 3), eta=0.3, epochs=1)(data)
     with pytest.raises(ValueError):
         mlp_predict(model, np.zeros(5))
 
