@@ -167,8 +167,12 @@ class PolynomialVectorField(FrozenRecord):
         coeffs = tuple(float(c) for c in coefficients)
         if not 3 <= len(coeffs) <= 5:
             raise ValueError("degree must be between 2 and 4")
-        if not all(map(math.isfinite, coeffs + (float(error_offset),))):
-            raise ValueError("coefficients and error offset must be finite")
+        # sum |c_i| * 1.6^(d - i) + |error| caps every Horner step on the
+        # generation domain [0, 1.6], so a finite cap means no overflow there
+        cap = sum(abs(c) * CYCLE_LENGTH ** k for k, c in enumerate(reversed(coeffs)))
+        if not math.isfinite(cap + abs(float(error_offset))):
+            raise ValueError(f"coefficients and error offset must be finite, and the field "
+                             f"finite on [0, {CYCLE_LENGTH}]")
         lo, hi = (float(v) for v in valid_interval)
         if not (hi > lo and 0.0 <= lo and hi <= CYCLE_LENGTH):
             raise ValueError(f"invalid interval [{lo}, {hi}]")

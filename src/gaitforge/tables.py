@@ -1,23 +1,24 @@
 """The file formats of every verb: one CSV reader, one JSON reader, one row
 writer (CSV and TSV) and one JSON writer. The two readers are the only code
 that reads an input file, user's or fixture, and report its faults alike,
-as ``ValueError("{path}: line N: ...")``. Numbers go out with six decimal
-places and text fields unquoted. :class:`ColumnRows` reads columnar results
-back as records. Only the standard library is used, so the verbs that load
-no numpy can use it too.
+as ``ValueError("{path}: line N: ...")``. The CSV reader reads unquoted
+comma-separated text in one pass, a block of whole lines at a time split
+with ``str.split``, and walks a block line by line only to name its first
+fault. Numbers go out with six decimal places and text fields unquoted.
+:class:`ColumnRows` reads columnar results back as records. Only the
+standard library is used, so the verbs that load no numpy can use it too.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections.abc import Callable, Iterable, Sequence
 
-
-# Characters the one-pass reader parses at a time. A block is whole lines,
-# so one no longer than csv.field_size_limit() cannot hold an oversized field.
+# The longest field a CSV input may hold, in characters
+_FIELD_LIMIT = 131_072
+# Characters the CSV reader converts at a time. A block is whole lines, so
+# one no longer than _FIELD_LIMIT cannot hold an oversized field.
 _BLOCK_CHARS = 1 << 16
 
 
@@ -27,13 +28,51 @@ def read_csv(path, header: Sequence[str],
     in one flat row-major list, and the label column ([] unless labelled).
 
     A ``labelled`` file (a dataset) need only end with the ``header`` columns
-    and keeps its last field as text. Blank lines are skipped. Text that is
-    not UTF-8, an empty file, another header, a wrong field count, an
-    oversized field, a field that is not a finite number and no data rows
-    raise ``ValueError("{path}: line N: ...")``.
+    and keeps its last field as text. Lines end with LF, CRLF or CR. A line
+    whose field count is not the header's and that holds only whitespace and
+    commas is blank and skipped; an empty line has no fields. Text that is
+    not UTF-8, an empty file, another header, a double quote, a wrong field
+    count, a field longer than 131,072 characters, a field that is not a finite
+    number and no data rows raise ``ValueError("{path}: line N: ...")`` for
+    the first fault in the file.
     """
     text = _read_text(path)
-    return _read_plain(text, header, labelled) or _read_rows(path, text, header, labelled)
+    if not text:
+        raise ValueError(f"{path}: line 1: empty file")
+    if "\r" in text:
+        # a CRLF or a lone CR ends one line, as an LF does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    stop = len(text) - text.endswith("\n")
+    head_end = text.find("\n", 0, stop)
+    if head_end < 0:
+        head_end = stop
+    first = text[:head_end]
+    names = first.split(",")
+    if '"' in first or max(map(len, names)) > _FIELD_LIMIT:
+        # given its own width, the header line can only hold these two faults
+        raise _first_fault(path, [first], 1, len(names), labelled)
+    names = [name.strip() for name in names]
+    if (names[-len(header):] if labelled else names) != list(header):
+        want = f"a final {header[-1]!r} column" if labelled else f"header {','.join(header)!r}"
+        raise ValueError(f"{path}: line 1: expected {want}, got {','.join(names)!r}")
+    width = len(names)
+    values, labels = [], []
+    pos, lineno = head_end + 1, 2
+    while pos < stop:
+        end = text.find("\n", pos + _BLOCK_CHARS, stop)
+        if end < 0:
+            end = stop
+        block = text[pos:end]
+        rows = _convert_block(block, width, labelled)
+        if rows is None:
+            raise _first_fault(path, block.split("\n"), lineno, width, labelled)
+        values += rows[0]
+        labels += rows[1]
+        lineno += block.count("\n") + 1
+        pos = end + 1
+    if not values and not labels:
+        raise ValueError(f"{path}: line 2: no data rows")
+    return values, labels
 
 
 def read_json(path):
@@ -62,100 +101,57 @@ def _read_text(path) -> str:
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
 
 
-def _header_matches(names: list[str], header: Sequence[str], labelled: bool) -> bool:
-    """Whether a file's column ``names`` are ``header``, or end with it if ``labelled``."""
-    return (names[-len(header):] if labelled else names) == list(header)
-
-
-def _read_plain(text: str, header: Sequence[str],
-                labelled: bool) -> tuple[list[float], list[str]] | None:
-    """One pass over text with no quotes, no carriage returns but those of
-    CRLF line ends, no blank lines and the same field count on every line;
-    None for any other text, or for any field that is not a finite number,
-    which :func:`_read_rows` then reads or rejects with its line number."""
-    if '"' in text:
+def _convert_block(block: str, width: int,
+                   labelled: bool) -> tuple[list[float], list[str]] | None:
+    """The numbers and labels of the data lines ``block`` in bulk, blank
+    lines dropped; None if any line holds a fault."""
+    if '"' in block or (len(block) > _FIELD_LIMIT
+                        and max(map(len, block.replace("\n", ",").split(","))) > _FIELD_LIMIT):
         return None
-    if "\r" in text:
-        if text.count("\r") != text.count("\r\n"):
-            return None
-        text = text.replace("\r\n", "\n")
-    head_end = text.find("\n")
-    if head_end < 0:
-        return None
-    names = [name.strip() for name in text[:head_end].split(",")]
-    if not _header_matches(names, header, labelled):
-        return None
-    width = len(names)
     commas = width - 1
-    stop = len(text) - 1 if text.endswith("\n") else len(text)
-    pos = head_end + 1
-    if pos >= stop:
-        return None
-    limit = csv.field_size_limit()
-    values, labels = [], []
-    while pos < stop:
-        end = text.find("\n", pos + _BLOCK_CHARS, stop)
-        if end < 0:
-            end = stop
-        block = text[pos:end]
-        lines = block.split("\n")
-        # an empty line is one field to split() and none to the csv module
-        if len(block) > limit or "" in lines or any(line.count(",") != commas for line in lines):
+    lines = block.split("\n")
+    if "" in lines or any(line.count(",") != commas for line in lines):
+        # blank lines go; a line left with another field count is a fault
+        lines = [line for line in lines
+                 if line and line.count(",") == commas or line.replace(",", "").strip()]
+        if any(line.count(",") != commas for line in lines):
             return None
-        fields = ",".join(lines).split(",")
-        if labelled:
-            labels += fields[commas::width]
-            del fields[commas::width]
-        try:
-            numbers = list(map(float, fields))
-        except ValueError:
-            return None
-        if not all(map(math.isfinite, numbers)):
-            return None
-        values += numbers
-        pos = end + 1
-    return values, labels
-
-
-def _read_rows(path, text: str, header: Sequence[str],
-               labelled: bool) -> tuple[list[float], list[str]]:
-    """:func:`read_csv` row by row through the csv module, which names the
-    line of the first fault."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-
-    def bad(problem):
-        return ValueError(f"{path}: line {reader.line_num}: {problem}")
-
+    fields = ",".join(lines).split(",") if lines else []
+    labels = fields[commas::width] if labelled else []
+    if labelled:
+        del fields[commas::width]
     try:
-        first = next(reader, None)
-        if first is None:
-            raise ValueError(f"{path}: line 1: empty file")
-        names = [name.strip() for name in first]
-        if not _header_matches(names, header, labelled):
-            want = f"a final {header[-1]!r} column" if labelled else f"header {','.join(header)!r}"
-            raise bad(f"expected {want}, got {','.join(names)!r}")
-        width = len(names)
-        numeric = width - 1 if labelled else width
-        values, labels = [], []
-        for row in reader:
-            if len(row) != width:
-                if not "".join(row).strip():
-                    continue
-                raise bad(f"expected {width} fields, got {len(row)}")
+        numbers = list(map(float, fields))
+    except ValueError:
+        return None
+    return (numbers, labels) if all(map(math.isfinite, numbers)) else None
+
+
+def _first_fault(path, lines: list[str], lineno: int, width: int,
+                 labelled: bool) -> ValueError:
+    """The fault of the first faulty line of ``lines``, which are numbered
+    from ``lineno`` and should have ``width`` fields."""
+    numeric = width - 1 if labelled else width
+    for n, line in enumerate(lines, lineno):
+        fields = line.split(",") if line else []
+        if '"' in line:
+            problem = "quoted fields are not supported"
+        elif max(map(len, fields), default=0) > _FIELD_LIMIT:
+            problem = f"field larger than field limit ({_FIELD_LIMIT})"
+        elif len(fields) != width:
+            if not line.replace(",", "").strip():
+                continue
+            problem = f"expected {width} fields, got {len(fields)}"
+        else:
             try:
-                numbers = list(map(float, row[:numeric]))
+                numbers = list(map(float, fields[:numeric]))
             except ValueError:
-                raise bad(f"non-numeric field in {','.join(row)!r}") from None
-            if not all(map(math.isfinite, numbers)):
-                raise bad(f"non-finite value in {','.join(row)!r}")
-            values += numbers
-            if labelled:
-                labels.append(row[-1])
-    except csv.Error as exc:
-        raise bad(str(exc)) from None
-    if not values and not labels:
-        raise ValueError(f"{path}: line 2: no data rows")
-    return values, labels
+                problem = f"non-numeric field in {line!r}"
+            else:
+                if all(map(math.isfinite, numbers)):
+                    continue
+                problem = f"non-finite value in {line!r}"
+        return ValueError(f"{path}: line {n}: {problem}")
 
 
 def write_rows(path, header: str | None, row_format: str, rows: Iterable[Sequence]) -> None:

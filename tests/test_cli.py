@@ -208,6 +208,9 @@ def write_bad_inputs(work):
     nan_coeff["left_knee"]["MST"]["coeffs"][0] = float("nan")
     huge_coeff = json.loads(json.dumps(doc))
     huge_coeff["left_knee"]["MST"]["coeffs"][0] = 10 ** 400
+    # finite coefficients whose field overflows on [0, 1.6]
+    overflow = json.loads(json.dumps(doc))
+    overflow["left_knee"]["MST"]["coeffs"] = [1e308] * len(overflow["left_knee"]["MST"]["coeffs"])
     # numbers spelled as strings, or a bool, are not JSON numbers
     text_coeffs = json.loads(json.dumps(doc))
     text_coeffs["left_knee"]["MST"]["coeffs"] = "123"
@@ -221,6 +224,7 @@ def write_bad_inputs(work):
         "no_ankle.json": {k: v for k, v in doc.items() if k != "right_ankle"},
         "nan.json": nan_coeff,
         "huge_int.json": huge_coeff,
+        "overflow.json": overflow,
         "text_coeffs.json": text_coeffs,
         "text_list.json": text_list,
         "bool_error.json": bool_error,
@@ -262,7 +266,7 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
     *(([verb, "--model-bank", name], f"{name}: {prefix}")
       for name, (_, prefix) in UNREADABLE_BANKS.items() for verb in ("gen-gait", "plot-data")),
     *(([verb, "--model-bank", name], f"{name}: malformed model bank: field (left_knee, MST): ")
-      for name in ("text_coeffs.json", "text_list.json", "bool_error.json")
+      for name in ("text_coeffs.json", "text_list.json", "bool_error.json", "overflow.json")
       for verb in ("gen-gait", "plot-data")),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):

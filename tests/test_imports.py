@@ -6,7 +6,8 @@ would slow every verb without failing anything else. ``push``,
 ``gaitforge.gait_model`` itself) load no numpy, and no ``inspect`` either,
 which with ``dataclasses`` took about a third of their own start-up;
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` do not load
-``gaitforge.push_fuzzy``. Started without ``site`` (``python -S``), those
+``gaitforge.push_fuzzy``, and no verb loads ``csv``: every CSV input goes
+through the package's own reader. Started without ``site`` (``python -S``), those
 four verbs load neither ``pathlib`` nor ``importlib.resources`` (nor the
 ``zipfile`` and ``tempfile`` it brings). A missing input file is reported
 before numpy loads. A verb that loads numpy loads it with
@@ -44,8 +45,8 @@ sys.modules["scipy"] = None
 from gaitforge import cli
 argv = json.loads(sys.argv[1])
 rc = cli.main(argv) if argv else 0
-print(json.dumps({"rc": rc, "loaded": [m for m in ("numpy", "scipy", "dataclasses", "inspect")
-                                       if sys.modules.get(m) is not None]}))
+watched = ("numpy", "scipy", "dataclasses", "inspect", "csv")
+print(json.dumps({"rc": rc, "loaded": [m for m in watched if sys.modules.get(m) is not None]}))
 """
 
 
@@ -136,7 +137,7 @@ def test_verb_runs_without_numpy(argv, tmp_path):
     ["ca-predict", "--init", "0101", "--n", "4"],
 ])
 def test_verb_runs_without_push_fuzzy(argv, tmp_path):
-    probe = PROBE.replace('("numpy", "scipy", "dataclasses", "inspect")',
+    probe = PROBE.replace('("numpy", "scipy", "dataclasses", "inspect", "csv")',
                           '("gaitforge.push_fuzzy",)')
     assert probe != PROBE
     assert loaded_after(argv, tmp_path, probe) == set()
@@ -158,7 +159,7 @@ def test_verb_runs_without_push_fuzzy(argv, tmp_path):
 def test_verb_runs_without_scipy(argv, tmp_path):
     write_inputs(tmp_path)
     loaded = loaded_after(argv, tmp_path)
-    assert "scipy" not in loaded and "dataclasses" not in loaded
+    assert not loaded & {"scipy", "dataclasses", "csv"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,7 +170,7 @@ def test_verb_runs_without_scipy(argv, tmp_path):
 ])
 def test_verb_runs_without_pathlib_or_importlib_resources(argv, tmp_path):
     # -S skips site, whose .pth files may import both before gaitforge starts
-    probe = PROBE.replace('("numpy", "scipy", "dataclasses", "inspect")',
+    probe = PROBE.replace('("numpy", "scipy", "dataclasses", "inspect", "csv")',
                           '("pathlib", "importlib.resources", "zipfile", "tempfile")')
     assert probe != PROBE
     assert loaded_after(argv, tmp_path, probe, flags=["-S"]) == set()
