@@ -12,6 +12,9 @@ The library checks the rest when the verb runs, in the verb's own order:
 ``simulate-block``'s ``--alpha``, ``--r``, ``--dt``, ``--x1``, ``--x2`` and
 ``--t-end``, ``ca-predict``'s ``--init`` and ``--n``, ``push --force`` and
 ``--tc``. So ``simulate-block --dt 0 --alpha 5`` reports ``--alpha``.
+A verb that exits with status 2 writes nothing: it computes every output
+before it writes the first. The exception is a write that fails partway,
+such as on a full disk or where an output path is a directory.
 
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
@@ -41,8 +44,9 @@ if TYPE_CHECKING:
 class InputError(Exception):
     """Bad or missing input: reported on stderr, exit code 2.
 
-    :func:`main` treats a ``ValueError`` from the library the same way; raise
-    this one to add context, such as the option or file at fault.
+    :func:`main` treats a ``ValueError`` from the library the same way;
+    :func:`_blame` re-raises a library fault as this one, to name the option
+    or file at fault.
     """
 
 
@@ -101,6 +105,16 @@ def _at_least(low: int):
     return _checked(int, lambda value: value >= low, f"must be >= {low}")
 
 
+@contextmanager
+def _blame(prefix: str, errors=ValueError):
+    """Re-raise a library fault of type ``errors`` as ``InputError(f"{prefix}:
+    {exc}")``, where ``prefix`` names the option or file behind it."""
+    try:
+        yield
+    except errors as exc:
+        raise InputError(f"{prefix}: {exc}") from exc
+
+
 def _path(text: str) -> str:
     # an empty value is an error, not an absent option
     if not text:
@@ -122,10 +136,8 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
         return gait_model.FieldBank.default()
     _open_inputs(path)
     doc = read_json(path)
-    try:
+    with _blame(f"{path}: malformed model bank", (ValueError, gait_model.MissingFieldError)):
         return gait_model.FieldBank.from_dict(doc)
-    except (ValueError, gait_model.MissingFieldError) as exc:
-        raise InputError(f"{path}: malformed model bank: {exc}") from exc
 
 
 def _gait_config(args) -> gait_model.GaitModelConfig:
@@ -133,10 +145,8 @@ def _gait_config(args) -> gait_model.GaitModelConfig:
 
     schedule = gait_model.PhaseSchedule.preset(args.schedule)
     tc = gait_model.DEFAULT_TC if args.tc is None else args.tc
-    try:
+    with _blame("--tc"):
         return gait_model.GaitModelConfig(tc=tc, schedule=schedule)
-    except ValueError as exc:
-        raise InputError(f"--tc: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +159,7 @@ def cmd_gen_gait(args) -> int:
     bank = _load_bank(args.model_bank)
     config = _gait_config(args)
     traj = gait_model.generate_gait_cycle(bank, config, cross_fade=args.cross_fade)
+    validation = gait_model.validate_ranges(traj)
     traj.write_tsv(args.out)
     report = {
         "boundaries": [
@@ -162,7 +173,6 @@ def cmd_gen_gait(args) -> int:
         ]
     }
     write_json(args.out + ".report.json", report)
-    validation = gait_model.validate_ranges(traj)
     print(f"wrote {len(traj)} samples to {args.out}")
     print("range check:", validation.summary())
     return 0
@@ -177,10 +187,8 @@ def cmd_simulate_block(args) -> int:
     init = rocking_block.BlockState(
         mode=rocking_block.Mode(args.mode), x1=args.x1, x2=args.x2,
     )
-    try:
+    with _blame("simulation failed", (rocking_block.DivergenceError, rocking_block.ZenoError)):
         trace = rocking_block.simulate(init, params, args.t_end)
-    except (rocking_block.DivergenceError, rocking_block.ZenoError) as exc:
-        raise InputError(f"simulation failed: {exc}") from exc
     trace.write_csv(args.out)
     print(f"{len(trace.states)} states, {len(trace.impacts)} impacts, "
           f"status {trace.status}; wrote {args.out}")
@@ -216,10 +224,8 @@ def cmd_ingest(args) -> int:
         ys = capture.smooth_cubic_spline(ys, knot_stride=args.knot_stride)
     geom = capture.TwoLinkGeometry(l1=args.l1, l2=args.l2)
     if args.ik == "alg1":
-        try:
+        with _blame(args.infile):
             t1, t2 = capture.ik_alg1_batch(xs, ys, geom)
-        except ValueError as exc:
-            raise InputError(f"{args.infile}: {exc}") from exc
         theta1, theta2 = t1.values, t2.values
     else:
         pairs = []
@@ -247,10 +253,8 @@ def cmd_features(args) -> int:
     t, th1, th2 = capture.load_joint_angle_csv(args.infile)
     rows = []
     for joint, series in (("theta1", th1), ("theta2", th2)):
-        try:
+        with _blame(args.infile):
             imfs, _ = features.emd_decompose(series, max_imfs=args.max_imfs)
-        except ValueError as exc:
-            raise InputError(f"{args.infile}: {exc}") from exc
         for imf in imfs:
             fv = features.feature_vector(imf.values, bins=args.bins)
             rows.append((args.subject, joint, imf.index, fv, args.label))
@@ -295,17 +299,6 @@ def _make_trainer(args, method: str):
     return learn.mlp_trainer(args.layers, eta=args.eta, epochs=args.epochs, seed=args.seed)
 
 
-@contextmanager
-def _weight_limit():
-    """Report the MLP weight limit as a fault of ``--layers``."""
-    from . import learn
-
-    try:
-        yield
-    except learn.WeightLimitError as exc:
-        raise InputError(f"--layers: {exc}") from exc
-
-
 def cmd_classify(args) -> int:
     _open_inputs(args.train, args.test)
     import numpy as np
@@ -325,7 +318,7 @@ def cmd_classify(args) -> int:
     except KeyError as exc:
         raise InputError(f"{args.test}: class {exc} is not in {args.train}") from exc
     test = learn.Dataset(test.features, relabeled, train.class_names)
-    with _weight_limit():
+    with _blame("--layers", learn.WeightLimitError):
         predict = trainer(train)
     preds = predict(test.features)
     cm, per_class, error = learn.confusion_and_accuracy(
@@ -342,15 +335,15 @@ def cmd_cv(args) -> int:
     _open_inputs(path)
     from . import learn
 
-    trainer = _make_trainer(args, args.method)
-    base_trainer = _make_trainer(args, args.baseline) if args.baseline else None
     data = learn.Dataset.from_csv(path)
-    with _weight_limit():
-        result = learn.kfold_cv(data, trainer, folds=args.folds, seed=args.seed)
-        baseline = (None if base_trainer is None else
-                    learn.kfold_cv(data, base_trainer, folds=args.folds, seed=args.seed))
+    with _blame("--layers", learn.WeightLimitError):
+        result = learn.kfold_cv(data, _make_trainer(args, args.method),
+                                folds=args.folds, seed=args.seed)
     report = {"folds": args.folds, "method": args.method, **result._asdict()}
-    if baseline is not None:
+    if args.baseline:
+        with _blame("--layers", learn.WeightLimitError):
+            baseline = learn.kfold_cv(data, _make_trainer(args, args.baseline),
+                                      folds=args.folds, seed=args.seed)
         anova = learn.anova_single_factor(
             [result.fold_accuracies, baseline.fold_accuracies]
         )
@@ -384,27 +377,22 @@ def cmd_plot_data(args) -> int:
     from . import gait_model
 
     config = _gait_config(args)
-    # limit_cycle needs 3 samples and emd_decompose 4: fail before the
-    # directory is made, not halfway through filling it
-    if config.n_samples < 4:
-        raise InputError(
-            f"--tc: tc {config.tc} gives {config.n_samples} samples per cycle, "
-            "plot-data needs at least 4"
-        )
     bank = _load_bank(args.model_bank)
     import numpy as np
 
     from . import capture, features
 
-    outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
     traj = gait_model.generate_gait_cycle(bank, config)
+    # limit_cycle needs 3 samples and emd_decompose 4; on a generated cycle a
+    # too-short grid is the only ValueError either raises, so --tc is at fault
+    with _blame("--tc"):
+        cycles = [gait_model.limit_cycle(traj, jkey) for jkey in gait_model.JOINT_KEYS]
+        imfs, _ = features.emd_decompose(traj.angles["left_hip"])
 
-    # phase portraits, one file per joint
-    for jkey in gait_model.JOINT_KEYS:
-        cycle = gait_model.limit_cycle(traj, jkey)
-        write_rows(os.path.join(outdir, f"limit_cycle_{jkey}.csv"), "angle,velocity",
-                   "%.6f,%.6f", cycle.points.tolist())
+    # each output is (name, header, row format, rows); phase portraits first,
+    # one file per joint
+    outputs = [(f"limit_cycle_{jkey}.csv", "angle,velocity", "%.6f,%.6f", cycle.points.tolist())
+               for jkey, cycle in zip(gait_model.JOINT_KEYS, cycles)]
 
     # stick-figure frames from hip/knee angles via forward kinematics
     geom = capture.TwoLinkGeometry(l1=gait_model.LINK_LENGTH, l2=gait_model.LINK_LENGTH)
@@ -417,17 +405,22 @@ def cmd_plot_data(args) -> int:
             t1 = hips[i] - np.pi / 2.0
             elbow, tip = capture.fk_two_link(float(t1), float(knees[i]), geom)
             points += [(0.0, 0.0), elbow, tip]
-        write_rows(os.path.join(outdir, f"stick_{side}.csv"), "x,y", "%.6f,%.6f", points)
+        outputs.append((f"stick_{side}.csv", "x,y", "%.6f,%.6f", points))
 
     # box-plot statistics of each trajectory IMF
-    imfs, _ = features.emd_decompose(traj.angles["left_hip"])
     stats = []
     for imf in imfs:
         q = features.quartile_stats(imf.values)
         stats += [(imf.index, value) for value in (q.q1 - 1.5 * q.iqr, q.q1, q.q2,
                                                    q.q3, q.q3 + 1.5 * q.iqr)]
-    write_rows(os.path.join(outdir, "box_stats.csv"), "imf_index,value", "%d,%.6f", stats)
-    print(f"wrote plot data to {outdir}")
+    outputs.append(("box_stats.csv", "imf_index,value", "%d,%.6f", stats))
+
+    # every file's rows exist before the directory is made, so a fault above
+    # leaves no half-filled directory
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, header, row_format, rows in outputs:
+        write_rows(os.path.join(args.out_dir, name), header, row_format, rows)
+    print(f"wrote plot data to {args.out_dir}")
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .capture import TimeSeries, natural_spline
+from .capture import natural_spline
 from .tables import write_rows
 
 MAX_SIFTS = 100
@@ -31,8 +31,6 @@ class IMF(NamedTuple):
 
 
 def _as_array(signal) -> np.ndarray:
-    if isinstance(signal, TimeSeries):
-        return np.asarray(signal.values, dtype=float)
     return np.asarray(signal, dtype=float)
 
 
@@ -225,16 +223,13 @@ def quartile_stats(values) -> BoxStats:
     q1 = _median(s[:half])
     q3 = _median(s[n - half:])
     iqr = q3 - q1
-    out, suspect = [], []
-    for i, v in enumerate(x):
-        if v < q1 - 3.0 * iqr or v > q3 + 3.0 * iqr:
-            out.append(i)
-        if v < q1 - 1.5 * iqr or v > q3 + 1.5 * iqr:
-            suspect.append(i)
-    return BoxStats(
-        q1=q1, q2=q2, q3=q3, iqr=iqr,
-        outliers=tuple(out), suspected_outliers=tuple(suspect),
-    )
+
+    def beyond(reach: float) -> tuple[int, ...]:
+        low, high = q1 - reach * iqr, q3 + reach * iqr
+        return tuple(np.flatnonzero((x < low) | (x > high)).tolist())
+
+    return BoxStats(q1=q1, q2=q2, q3=q3, iqr=iqr,
+                    outliers=beyond(3.0), suspected_outliers=beyond(1.5))
 
 
 def write_feature_matrix_csv(path, rows: Sequence[tuple]) -> None:

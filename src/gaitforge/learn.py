@@ -485,8 +485,7 @@ def confusion_and_accuracy(preds, truths, n_classes: int):
     if np.any(preds < 0) or np.any(preds >= n_classes) or np.any(truths < 0) or np.any(truths >= n_classes):
         raise ValueError("label out of range")
     counts = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(truths, preds):
-        counts[t, p] += 1
+    np.add.at(counts, (truths, preds), 1)
     cm = ConfusionMatrix(counts)
     per_class = np.array([
         accuracy_from_counts(*cm.one_vs_rest(c)) for c in range(n_classes)

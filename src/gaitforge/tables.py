@@ -36,7 +36,7 @@ def read_csv(path, header: Sequence[str],
     number and no data rows raise ``ValueError("{path}: line N: ...")`` for
     the first fault in the file.
     """
-    text = _read_text(path)
+    text = _read_text(path, cr_ends_lines=True)
     if not text:
         raise ValueError(f"{path}: line 1: empty file")
     if "\r" in text:
@@ -89,15 +89,20 @@ def read_json(path):
         raise ValueError(f"{path}: nesting too deep or an integer too long to read") from None
 
 
-def _read_text(path) -> str:
+def _read_text(path, cr_ends_lines: bool = False) -> str:
     """The bytes of ``path`` decoded as UTF-8; other bytes raise
-    ``ValueError("{path}: line N: not UTF-8 text")``."""
+    ``ValueError("{path}: line N: not UTF-8 text")``. N counts LF line ends,
+    as ``json`` does, and with ``cr_ends_lines`` also a lone CR, as the CSV
+    reader does."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        head = data[:exc.start]
+        if cr_ends_lines:
+            head = head.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitforge.cli import build_parser, main
-from gaitforge import features, gait_ca
+from gaitforge import capture, features, gait_ca
 from gaitforge import gait_model as gm
 from gaitforge.fixtures import fixture_dir, fixture_path
 from gaitforge.tables import write_rows
@@ -89,6 +89,31 @@ def test_plot_data_too_few_samples_exits_2_before_mkdir(tc, tmp_path, capsys):
     assert run(["plot-data", f"--tc={tc}", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --tc") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_gait_checks_ranges_before_writing(tmp_path, capsys, monkeypatch):
+    # a fixture directory with the bank but no range table: generation runs,
+    # the range check fails, and neither output is written
+    fixtures = tmp_path / "fx"
+    fixtures.mkdir()
+    shutil.copy(fixture_path("tables_5_1_to_5_6.json"), fixtures)
+    monkeypatch.setenv("GAITFORGE_FIXTURES", str(fixtures))
+    assert run(["gen-gait", "--out", str(tmp_path / "out.tsv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fx"]
+
+
+def test_plot_data_fault_while_computing_makes_no_directory(tmp_path, capsys, monkeypatch):
+    # fk_two_link runs after the limit cycles and outside the --tc blame
+    def fail(*args, **kwargs):
+        raise ValueError("injected fault")
+
+    monkeypatch.setattr(capture, "fk_two_link", fail)
+    out = tmp_path / "plots"
+    assert run(["plot-data", "--tc", "0.05", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: injected fault\n"
     assert not out.exists()
 
 

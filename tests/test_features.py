@@ -244,6 +244,30 @@ def test_quartiles_need_four_samples():
         quartile_stats(np.array([1.0, 2.0, 3.0]))
 
 
+def loop_fences(x, q1, q3, iqr):
+    """The per-sample loop quartile_stats used to list its outliers with."""
+    out, suspect = [], []
+    for i, v in enumerate(x):
+        if v < q1 - 3.0 * iqr or v > q3 + 3.0 * iqr:
+            out.append(i)
+        if v < q1 - 1.5 * iqr or v > q3 + 1.5 * iqr:
+            suspect.append(i)
+    return tuple(out), tuple(suspect)
+
+
+def test_outlier_lists_match_the_per_sample_loop():
+    rng = np.random.default_rng(11)
+    # [1..8, v] with v on a fence: 15 and 22.5 above (q1 2.5, q3 7.5), -6 and
+    # -13.5 below (q1 1.5, q3 6.5)
+    samples = [np.append(np.arange(1.0, 9.0), v) for v in (15.0, 22.5, -6.0, -13.5)]
+    samples += [rng.standard_cauchy(size=rng.integers(4, 60)) for _ in range(50)]
+    for x in samples:
+        stats = quartile_stats(x)
+        lists = (stats.outliers, stats.suspected_outliers)
+        assert lists == loop_fences(x, stats.q1, stats.q3, stats.iqr)
+        assert all(type(i) is int for i in lists[0] + lists[1])
+
+
 def test_quartile_ordering_invariant():
     rng = np.random.default_rng(8)
     for _ in range(20):

@@ -410,6 +410,19 @@ def test_error_complements_trace():
     assert error == pytest.approx(1.0 - np.trace(cm.counts) / cm.counts.sum())
 
 
+def test_confusion_counts_match_the_per_sample_loop():
+    rng = np.random.default_rng(12)
+    for n_classes in (2, 5):
+        truths = rng.integers(0, n_classes, size=200)
+        preds = rng.integers(0, n_classes, size=200)
+        expected = np.zeros((n_classes, n_classes), dtype=int)
+        for t, p in zip(truths, preds):
+            expected[t, p] += 1
+        cm, _, _ = confusion_and_accuracy(preds, truths, n_classes)
+        assert cm.counts.dtype == expected.dtype
+        assert np.array_equal(cm.counts, expected)
+
+
 def test_label_out_of_range():
     with pytest.raises(ValueError):
         confusion_and_accuracy([0, 3], [0, 1], 3)

@@ -51,6 +51,21 @@ def test_read_json_rejects_bytes_as_read_csv_does(tmp_path):
     assert faults == [f"{path}: line 3: not UTF-8 text"] * 2
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_not_utf8_line_counts_every_csv_line_end(end, tmp_path):
+    # read_csv ends a line at an LF, a CRLF or a lone CR; read_json counts
+    # LF only, as json's own line numbers do
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(end.join(["t,x", "1,2", "\xff,3", ""]).encode("latin-1"))
+    with pytest.raises(ValueError) as fault:
+        read_csv(path, ("t", "x"))
+    assert str(fault.value) == f"{path}: line 3: not UTF-8 text"
+    json_line = 3 if "\n" in end else 1
+    with pytest.raises(ValueError) as fault:
+        tables.read_json(path)
+    assert str(fault.value) == f"{path}: line {json_line}: not UTF-8 text"
+
+
 # verb -> (header, one valid data row)
 READERS = {
     "ingest": ("t,x,y,z", "0.0,6.0,2.0,0.0"),
