@@ -25,8 +25,8 @@ class TimeSeries(FrozenRecord):
 
     def __init__(self, values, dt: float = 1.0):
         vals = np.asarray(values, dtype=float)
-        if dt <= 0.0:
-            raise ValueError("sample period must be positive")
+        if not (dt > 0.0 and math.isfinite(dt)):
+            raise ValueError(f"sample period must be positive and finite, got {dt}")
         if vals.size and not np.all(np.isfinite(vals)):
             raise ValueError("series values must be finite")
         self._set(vals, dt)
@@ -202,8 +202,9 @@ def smooth_moving_average(series: TimeSeries) -> TimeSeries:
 def natural_spline(x, y, xs) -> np.ndarray:
     """Natural cubic spline through the knots (x, y), evaluated at xs.
 
-    x must be strictly increasing, with at least two finite knots; points
-    outside the knots extrapolate from the end pieces. The result equals
+    x must be strictly increasing, with at least two finite knots, and xs
+    sorted (non-decreasing); unsorted xs raise ValueError. Points outside
+    the knots extrapolate from the end pieces. The result equals
     scipy 1.17's ``CubicSpline(x, y, bc_type="natural")(xs)`` bit for bit,
     signed zeros included, because every step repeats its operation order:
     EMD stops on a residue with fewer than two extrema, which reacts to the
@@ -213,6 +214,8 @@ def natural_spline(x, y, xs) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xs = np.asarray(xs, dtype=float)
+    if not np.all(xs[:-1] <= xs[1:]):
+        raise ValueError("evaluation points must be sorted")
     n = len(x)
     dx = np.diff(x)
     slope = np.diff(y) / dx
@@ -271,12 +274,7 @@ def natural_spline(x, y, xs) -> np.ndarray:
 
     # PPoly: piece k holds x[k] <= xs < x[k+1], the last piece is closed and
     # the end pieces extrapolate. Over sorted points each piece holds one run,
-    # which starts at the first point not below its left knot; unsorted
-    # points are sorted first and their results put back in place
-    order = None
-    if not np.all(xs[:-1] <= xs[1:]):
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
+    # which starts at the first point not below its left knot
     runs = np.diff(np.searchsorted(xs, x[1:-1], side="left"), prepend=0, append=len(xs))
     # powers are summed upward from 0.0 (so a -0.0 knot value comes out as
     # 0.0), not by Horner
@@ -287,9 +285,6 @@ def natural_spline(x, y, xs) -> np.ndarray:
     res += np.repeat(c1, runs) * z
     z *= h
     res += np.repeat(c0, runs) * z
-    if order is not None:
-        sorted_res, res = res, np.empty_like(res)
-        res[order] = sorted_res
     return res
 
 
@@ -316,19 +311,23 @@ def smooth_cubic_spline(series: TimeSeries, knot_stride: int = 5) -> TimeSeries:
 def load_accelerometer_csv(path) -> dict[str, TimeSeries]:
     """Read the phone-export format: header ``t,x,y,z``, dot decimals.
 
-    Returns one series per coordinate; the sample period is taken from the
-    first two timestamps (1.0 for a single row). Malformed rows raise with
-    their line number (see :func:`gaitforge.tables.read_csv`).
+    Returns the ``x`` and ``y`` series; ``z`` is read and checked like every
+    column, and not kept. The sample period is the difference of the first
+    two timestamps, or 1.0 for a single row or a difference that is not
+    positive. Malformed rows raise with their line number (see
+    :func:`gaitforge.tables.read_csv`); sample times that overflow, a period
+    or a last time ``(n - 1) * dt`` that is not finite, raise ValueError
+    naming ``path``.
     """
     values, _ = read_csv(path, ("t", "x", "y", "z"))
-    data = np.array(values).reshape(-1, 4)
-    dt = float(data[1, 0] - data[0, 0]) if len(data) > 1 else 1.0
+    n = len(values) // 4
+    dt = values[4] - values[0] if n > 1 else 1.0
     if dt <= 0.0:
         dt = 1.0
-    return {
-        name: TimeSeries(data[:, i + 1], dt=dt)
-        for i, name in enumerate(("x", "y", "z"))
-    }
+    if not math.isfinite((n - 1) * dt):
+        raise ValueError(f"{path}: sample times overflow: period {dt} over {n} samples")
+    data = np.array(values).reshape(-1, 4)
+    return {"x": TimeSeries(data[:, 1], dt=dt), "y": TimeSeries(data[:, 2], dt=dt)}
 
 
 def write_joint_angle_csv(path, t: Sequence[float], theta1_deg: Sequence[float],

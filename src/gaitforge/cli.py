@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .fixtures import fixture_path
-from .tables import json_text, read_json, write_json, write_rows
+from .tables import json_text, write_json, write_rows
 
 if TYPE_CHECKING:
     from . import gait_model
@@ -135,9 +135,7 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
     if path is None:
         return gait_model.FieldBank.default()
     _open_inputs(path)
-    doc = read_json(path)
-    with _blame(f"{path}: malformed model bank", (ValueError, gait_model.MissingFieldError)):
-        return gait_model.FieldBank.from_dict(doc)
+    return gait_model.FieldBank.from_json(path)
 
 
 def _gait_config(args) -> gait_model.GaitModelConfig:

@@ -104,9 +104,12 @@ def _sift(x: np.ndarray) -> np.ndarray | None:
 def emd_decompose(signal, max_imfs: int = 10) -> tuple[list[IMF], np.ndarray]:
     """Decompose a signal into IMFs plus a residue.
 
-    Extraction stops when the residue is monotone (fewer than two interior
-    extrema) or ``max_imfs`` is reached. A monotone input simply comes back
-    as the residue with no IMFs. The parts always sum back to the input.
+    Extraction stops at the first of three: the residue is monotone (fewer
+    than two interior extrema), ``max_imfs`` is reached, or :func:`_sift`
+    runs through ``MAX_SIFTS`` sifts without the mode passing its checks.
+    The last leaves that mode in the residue: on a long noisy signal it can
+    end the decomposition with no IMFs at all. A monotone input simply comes
+    back as the residue with no IMFs. The parts always sum back to the input.
     """
     x = _as_array(signal)
     if len(x) < 4:

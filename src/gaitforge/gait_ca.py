@@ -79,11 +79,21 @@ def decode(state: CAState) -> tuple[Leg, SubPhase]:
 
 @lru_cache(maxsize=1)
 def _tables() -> tuple[dict[int, int], dict[SubPhase, SubPhase]]:
-    doc = read_json(fixture_path("ca_rules.json"))
-    nxt = {int(k, 2): int(v, 2) for k, v in doc["next"].items()}
-    if sorted(nxt) != list(range(16)):
-        raise ValueError("rule table must cover all 16 codes")
-    comp = {SubPhase[k]: SubPhase[v] for k, v in doc["complement"].items()}
+    """The bundled ``next`` and ``complement`` maps. A table of another shape
+    raises ``ValueError("{path}: malformed CA rules: ...")``."""
+    path = fixture_path("ca_rules.json")
+    doc = read_json(path)
+    try:
+        nxt = {int(k, 2): int(v, 2) for k, v in doc["next"].items()}
+        comp = {SubPhase[k]: SubPhase[v] for k, v in doc["complement"].items()}
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed CA rules: missing or unknown key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed CA rules: {exc}") from None
+    if sorted(nxt) != list(range(16)) or not set(nxt.values()) <= set(nxt):
+        raise ValueError(f"{path}: malformed CA rules: next must map all 16 codes to codes")
+    if len(comp) != len(SubPhase):
+        raise ValueError(f"{path}: malformed CA rules: complement must cover all 8 sub-phases")
     return nxt, comp
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .fixtures import fixture_path
 from .records import FrozenRecord, Record
-from .tables import ColumnRows, read_json, write_rows
+from .tables import ColumnRows, is_number, read_json, write_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,10 +160,9 @@ class PolynomialVectorField(FrozenRecord):
     tabulated constant correction (degrees) added on top of the polynomial.
     """
 
-    __slots__ = ("coefficients", "error_offset", "valid_interval")
+    __slots__ = ("coefficients", "error_offset")
 
-    def __init__(self, coefficients: tuple[float, ...], error_offset: float = 0.0,
-                 valid_interval: tuple[float, float] = (0.0, CYCLE_LENGTH)):
+    def __init__(self, coefficients: tuple[float, ...], error_offset: float = 0.0):
         coeffs = tuple(float(c) for c in coefficients)
         if not 3 <= len(coeffs) <= 5:
             raise ValueError("degree must be between 2 and 4")
@@ -173,10 +172,7 @@ class PolynomialVectorField(FrozenRecord):
         if not math.isfinite(cap + abs(float(error_offset))):
             raise ValueError(f"coefficients and error offset must be finite, and the field "
                              f"finite on [0, {CYCLE_LENGTH}]")
-        lo, hi = (float(v) for v in valid_interval)
-        if not (hi > lo and 0.0 <= lo and hi <= CYCLE_LENGTH):
-            raise ValueError(f"invalid interval [{lo}, {hi}]")
-        self._set(coeffs, error_offset, (lo, hi))
+        self._set(coeffs, error_offset)
 
     @property
     def degree(self) -> int:
@@ -238,10 +234,6 @@ class GaitModelConfig(FrozenRecord):
         return int(math.floor(self.schedule.x_max / self.tc)) + 1
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class FieldBank:
     """The full 6-joint x 7-phase collection of vector fields. Building one
     that lacks a (joint, phase) pair raises MissingFieldError for the first
@@ -268,7 +260,6 @@ class FieldBank:
                 pkey: {
                     "coeffs": list(vf.coefficients),
                     "error": vf.error_offset,
-                    "interval": list(vf.valid_interval),
                 }
                 for pkey, vf in phases.items()
             }
@@ -277,10 +268,12 @@ class FieldBank:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "FieldBank":
-        """Build from ``{joint: {phase: {"coeffs", "error", "interval"}}}``,
-        where ``coeffs`` and ``interval`` are lists of numbers and ``error``
-        a number; a document of another shape raises ValueError. A string
-        or a bool is not a number here."""
+        """Build from ``{joint: {phase: {"coeffs", "error"}}}``, where
+        ``coeffs`` is a list of numbers and ``error`` a number; a document
+        of another shape raises ValueError. A string or a bool is not a
+        number here. Other keys of a field, such as the ``interval`` the
+        bundled bank transcribes, are not read: the phase schedule decides
+        where a field applies."""
         if not isinstance(doc, Mapping):
             raise ValueError("expected an object keyed by joint")
         fields: dict[str, dict[str, PolynomialVectorField]] = {}
@@ -290,12 +283,10 @@ class FieldBank:
             fields[jkey] = {}
             for pkey, spec in phases.items():
                 try:
-                    coeffs, error, interval = spec["coeffs"], spec["error"], spec["interval"]
-                    if not (isinstance(coeffs, list) and isinstance(interval, list)
-                            and all(map(_is_number, coeffs + interval + [error]))):
-                        raise ValueError("coeffs and interval must be lists of numbers, "
-                                         "error a number")
-                    fields[jkey][pkey] = PolynomialVectorField(coeffs, float(error), interval)
+                    coeffs, error = spec["coeffs"], spec["error"]
+                    if not (isinstance(coeffs, list) and all(map(is_number, coeffs + [error]))):
+                        raise ValueError("coeffs must be a list of numbers, error a number")
+                    fields[jkey][pkey] = PolynomialVectorField(coeffs, float(error))
                 except KeyError as exc:
                     raise ValueError(f"field ({jkey}, {pkey}) has no {exc}") from None
                 except (TypeError, ValueError, OverflowError) as exc:
@@ -303,8 +294,19 @@ class FieldBank:
         return cls(fields)
 
     @classmethod
+    def from_json(cls, path) -> "FieldBank":
+        """The bank in the JSON file ``path``; a document :meth:`from_dict`
+        refuses, or one that lacks a field, raises
+        ``ValueError("{path}: malformed model bank: ...")``."""
+        doc = read_json(path)
+        try:
+            return cls.from_dict(doc)
+        except (ValueError, MissingFieldError) as exc:
+            raise ValueError(f"{path}: malformed model bank: {exc}") from None
+
+    @classmethod
     def default(cls) -> "FieldBank":
-        return cls.from_dict(read_json(fixture_path("tables_5_1_to_5_6.json")))
+        return cls.from_json(fixture_path("tables_5_1_to_5_6.json"))
 
 
 class BoundaryGap(NamedTuple):
@@ -448,7 +450,15 @@ class RangeTable:
 
     @classmethod
     def default(cls) -> "RangeTable":
-        return cls(read_json(fixture_path("joint_ranges.json")))
+        """The bundled table; a document of another shape than ``{row:
+        {joint: [a, b]}}`` with numbers a and b raises
+        ``ValueError("{path}: malformed range table: ...")``."""
+        path = fixture_path("joint_ranges.json")
+        doc = read_json(path)
+        try:
+            return cls(doc)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed range table: {exc}") from None
 
 
 class RangeViolation(NamedTuple):
@@ -516,16 +526,15 @@ class ValidationReport(Record):
         )
 
 
-def validate_ranges(
-    traj: JointTrajectorySet, ranges: RangeTable | None = None
-) -> ValidationReport:
-    """Flag every sample outside its phase's tabulated interval.
+def validate_ranges(traj: JointTrajectorySet) -> ValidationReport:
+    """Flag every sample outside its phase's interval in the bundled range
+    table.
 
     Report-only: joints or phases without a tabulated interval are skipped.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    ranges = ranges or RangeTable.default()
+    ranges = RangeTable.default()
     runs = _phase_runs(traj.x, traj.schedule)
     report = ValidationReport(checked=0, joint=array("B"), index=array("q"), x=array("d"),
                               phase=array("B"), angle=array("d"), lo=array("d"), hi=array("d"))
@@ -594,8 +603,8 @@ def fit_vector_field(
 
     Solves the normal equations after scaling each Vandermonde column to
     unit norm, which keeps the system well conditioned on the narrow phase
-    intervals. Returns the fitted field (error offset zero, valid over the
-    samples' span clipped to the cycle) and the residual RMS.
+    intervals. Returns the fitted field (error offset zero) and the residual
+    RMS.
     """
     import numpy as np
 
@@ -616,13 +625,7 @@ def fit_vector_field(
     if np.linalg.matrix_rank(gram) < degree + 1:
         raise SingularFitError("normal system is rank deficient")
     coeffs = np.linalg.solve(gram, v_scaled.T @ y) / scale
-
-    lo = max(0.0, float(x.min()))
-    hi = min(CYCLE_LENGTH, float(x.max()))
-    vf = PolynomialVectorField(
-        coefficients=tuple(coeffs), error_offset=0.0,
-        valid_interval=(lo, hi) if hi > lo else (0.0, CYCLE_LENGTH),
-    )
+    vf = PolynomialVectorField(coefficients=tuple(coeffs), error_offset=0.0)
     residual = y - eval_vector_field(vf, x)
     return vf, float(np.sqrt(np.mean(residual * residual)))
 

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 
 from .fixtures import fixture_path
 from .records import FrozenRecord
-from .tables import read_json
+from .tables import is_number, read_json
 
 
 class Direction(Enum):
@@ -48,12 +48,9 @@ class Strategy(Enum):
         return self.severity >= 3
 
 
-REACTION_KEYS = (
-    "small_roll", "average_roll", "large_roll",
-    "small_pitch", "average_pitch", "large_pitch",
-)
 ROLL_KEYS = ("small_roll", "average_roll", "large_roll")
 PITCH_KEYS = ("small_pitch", "average_pitch", "large_pitch")
+REACTION_KEYS = ROLL_KEYS + PITCH_KEYS
 
 class RecoveryImpossible(ValueError):
     """Push magnitude beyond the recoverable envelope."""
@@ -124,9 +121,63 @@ class PushResponse(NamedTuple):
         }
 
 
+def _numbers(value, n: int) -> bool:
+    return isinstance(value, list) and len(value) == n and all(map(is_number, value))
+
+
+def _is_pair(cell) -> bool:
+    return (isinstance(cell, list) and len(cell) == 2
+            and cell[0] in ROLL_KEYS and cell[1] in PITCH_KEYS)
+
+
+_STRATEGY_NAMES = sorted(s.value for s in Strategy)
+
+# Each key of the rule table, the shape the functions below index it by, and
+# a test of that shape
+_RULE_SHAPES = {
+    "force_limit": ("a finite number", lambda v: is_number(v) and math.isfinite(v)),
+    "force_sets": ("an object of [a, b, c, d] number lists",
+                   lambda v: isinstance(v, dict) and all(_numbers(s, 4) for s in v.values())),
+    "fis1": ('an object of {"roll", "pitch"} reaction terms',
+             lambda v: isinstance(v, dict) and all(
+                 isinstance(c, dict) and _is_pair([c.get("roll"), c.get("pitch")])
+                 for c in v.values())),
+    "fis2": ("an object of non-empty [roll, pitch] term-pair lists, one per strategy",
+             lambda v: isinstance(v, dict) and sorted(v) == _STRATEGY_NAMES
+             and all(isinstance(cells, list) and cells and all(map(_is_pair, cells))
+                     for cells in v.values())),
+    "bands": ("an object of [lo, hi] number pairs",
+              lambda v: isinstance(v, dict) and all(_numbers(b, 2) for b in v.values())),
+    "lookup": ('a list of {"band", "roll", "pitch", "strategy"} rows',
+               lambda v: isinstance(v, list) and all(
+                   isinstance(r, dict) and r.get("strategy") in _STRATEGY_NAMES
+                   and all(isinstance(r.get(k), str) for k in ("band", "roll", "pitch"))
+                   for r in v)),
+    "validation": ('a list of {"band", "intervals", "strategy"} rows, each interval '
+                   'a [lo, hi] number pair',
+                   lambda v: isinstance(v, list) and all(
+                       isinstance(r, dict) and "band" in r
+                       and r.get("strategy") in _STRATEGY_NAMES
+                       and isinstance(r.get("intervals"), dict)
+                       and all(_numbers(i, 2) for i in r["intervals"].values()) for r in v)),
+}
+
+
 @lru_cache(maxsize=1)
 def _rules() -> dict:
-    return read_json(fixture_path("push_rules.json"))
+    """The bundled rule table. Every key the controller reads is checked
+    here, once, so a malformed table raises
+    ``ValueError("{path}: malformed push rules: ...")`` before any rule runs."""
+    path = fixture_path("push_rules.json")
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: malformed push rules: expected an object")
+    for key, (shape, ok) in _RULE_SHAPES.items():
+        if key not in doc:
+            raise ValueError(f"{path}: malformed push rules: no {key!r}")
+        if not ok(doc[key]):
+            raise ValueError(f"{path}: malformed push rules: {key!r} must be {shape}")
+    return doc
 
 
 def _trapezoid(x: float, abcd) -> float:

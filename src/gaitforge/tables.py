@@ -89,6 +89,12 @@ def read_json(path):
         raise ValueError(f"{path}: nesting too deep or an integer too long to read") from None
 
 
+def is_number(value) -> bool:
+    """Whether a value :func:`read_json` gave is a JSON number: a string or
+    a bool is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_text(path, cr_ends_lines: bool = False) -> str:
     """The bytes of ``path`` decoded as UTF-8; other bytes raise
     ``ValueError("{path}: line N: not UTF-8 text")``. N counts LF line ends,

@@ -271,13 +271,17 @@ def test_natural_spline_equals_scipy_bit_for_bit(n, spacing, exponent, zeros, se
     between = rng.uniform(x[0] - span, x[-1] + span, 64)
     xs = np.concatenate([x, between, x[rng.integers(0, n, 8)], between[:8],
                          [x[0] - 2.0 * span, x[-1] + 2.0 * span]])
-    spline = CubicSpline(x, y, bc_type="natural")
-    # unsorted points take the argsort path, sorted ones the run path
-    for points in (xs, np.sort(xs)):
-        got = natural_spline(x, y, points)
-        want = spline(points)
-        # int64 views tell 0.0 from -0.0
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    points = np.sort(xs)
+    got = natural_spline(x, y, points)
+    want = CubicSpline(x, y, bc_type="natural")(points)
+    # int64 views tell 0.0 from -0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("xs", [[0.5, 0.25], [0.0, 1.0, 0.5, 2.0], [0.0, math.nan, 1.0]])
+def test_natural_spline_refuses_unsorted_points(xs):
+    with pytest.raises(ValueError, match="evaluation points must be sorted"):
+        natural_spline([0.0, 1.0, 2.0], [1.0, 3.0, 2.0], xs)
 
 
 def test_natural_spline_sums_from_positive_zero_as_scipy_does():
@@ -301,6 +305,36 @@ def test_accelerometer_csv_roundtrip(tmp_path):
     series = load_accelerometer_csv(path)
     assert series["x"].dt == pytest.approx(0.01)
     assert list(series["y"].values) == [2.0, 2.5]
+
+
+def test_accelerometer_csv_keeps_x_and_y_only(tmp_path):
+    path = tmp_path / "acc.csv"
+    path.write_text("t,x,y,z\n0.0,1.0,2.0,3.0\n")
+    series = load_accelerometer_csv(path)
+    assert sorted(series) == ["x", "y"]
+    assert series["x"].dt == 1.0
+
+
+@pytest.mark.parametrize("times", [
+    ("-1e308", "1e308", "1e308"),      # the period overflows
+    ("0", "1e308", "1e308"),           # the period is finite, the last time is not
+])
+def test_accelerometer_csv_refuses_overflowing_times(times, tmp_path):
+    path = tmp_path / "acc.csv"
+    path.write_text("t,x,y,z\n" + "".join(f"{t},6.0,2.0,0.0\n" for t in times))
+    with pytest.raises(ValueError, match=r"acc\.csv: sample times overflow"):
+        load_accelerometer_csv(path)
+
+
+@pytest.mark.parametrize("times, dt", [
+    (("0.5",), 1.0),                   # one row
+    (("1e308", "-1e308"), 1.0),        # a step that is not positive
+    (("0", "1e307", "2e307"), 1e307),  # large, but every time is finite
+])
+def test_accelerometer_csv_sample_period(times, dt, tmp_path):
+    path = tmp_path / "acc.csv"
+    path.write_text("t,x,y,z\n" + "".join(f"{t},6.0,2.0,0.0\n" for t in times))
+    assert load_accelerometer_csv(path)["y"].dt == dt
 
 
 def test_accelerometer_csv_line_numbered_errors(tmp_path):
@@ -328,3 +362,6 @@ def test_timeseries_validation():
         TimeSeries(np.array([1.0, float("nan")]))
     with pytest.raises(ValueError):
         TimeSeries(np.array([1.0]), dt=0.0)
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="sample period must be positive"):
+            TimeSeries(np.array([1.0]), dt=dt)

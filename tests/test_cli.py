@@ -263,6 +263,8 @@ def write_bad_inputs(work):
     t = np.arange(40) * 0.01
     write_rows(work / "huge.csv", "t,x,y,z", "%.2f,%.6g,%.6g,0.0",
                zip(t, 1e200 * (6.0 + np.sin(9 * t)), 1e200 * (2.0 + t)))
+    # finite sample times whose step overflows
+    (work / "huge_t.csv").write_text("t,x,y,z\n-1e308,6,2,0\n1e308,6,2,0\n1e308,6,2,0\n")
 
 
 DATA = str(fixture_path("synthetic_gait_features.csv"))
@@ -293,6 +295,9 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
     *(([verb, "--model-bank", name], f"{name}: malformed model bank: field (left_knee, MST): ")
       for name in ("text_coeffs.json", "text_list.json", "bool_error.json", "overflow.json")
       for verb in ("gen-gait", "plot-data")),
+    (["ingest", "--in", "huge_t.csv"], "huge_t.csv: sample times overflow: "),
+    (["ingest", "--in", "huge_t.csv", "--ik", "exact", "--smooth", "spline"],
+     "huge_t.csv: sample times overflow: "),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
     write_bad_inputs(tmp_path)
@@ -805,6 +810,60 @@ def test_plot_data_prints_the_out_dir_as_given(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 # fixture directory override
 # ---------------------------------------------------------------------------
+
+GEN_GAIT = ["gen-gait", "--out", "out.tsv"]
+
+
+@pytest.mark.parametrize("table, corrupt, argv, message", [
+    ("joint_ranges.json", lambda d: d["mid_stance"].update(left_hip=5), GEN_GAIT,
+     "malformed range table: cannot unpack non-iterable int object"),
+    ("joint_ranges.json", lambda d: d.update(mid_stance=[1, 2]), GEN_GAIT,
+     "malformed range table: 'list' object has no attribute 'items'"),
+    ("push_rules.json", lambda d: d.pop("force_limit"),
+     ["push", "--force", "5", "--dir", "left", "--out", "out.json"],
+     "malformed push rules: no 'force_limit'"),
+    ("push_rules.json", lambda d: d["fis2"].update(knee=[]),
+     ["push", "--force", "5", "--dir", "left", "--out", "out.json"],
+     "malformed push rules: 'fis2' must be an object of non-empty [roll, pitch] term-pair "
+     "lists, one per strategy"),
+    ("ca_rules.json", lambda d: d.pop("next"), ["ca-predict", "--init", "0101", "--out", "out.txt"],
+     "malformed CA rules: missing or unknown key 'next'"),
+    ("ca_rules.json", lambda d: d["next"].update({"0101": "2"}),
+     ["ca-predict", "--init", "0101", "--out", "out.txt"],
+     "malformed CA rules: invalid literal for int() with base 2: '2'"),
+    ("ca_rules.json", lambda d: d["next"].update({"0101": "10000"}),
+     ["ca-predict", "--init", "0101", "--out", "out.txt"],
+     "malformed CA rules: next must map all 16 codes to codes"),
+    ("tables_5_1_to_5_6.json", lambda d: d["left_knee"].pop("MST"), GEN_GAIT,
+     "malformed model bank: no field for (left_knee, MST)"),
+    ("tables_5_1_to_5_6.json", lambda d: d["left_knee"].pop("MST"),
+     ["plot-data", "--out-dir", "out"],
+     "malformed model bank: no field for (left_knee, MST)"),
+])
+def test_malformed_bundled_table_exits_2_naming_it(table, corrupt, argv, message, tmp_path,
+                                                   capsys, monkeypatch):
+    from gaitforge import push_fuzzy
+
+    fixtures = tmp_path / "fx"
+    shutil.copytree(fixture_dir(), fixtures, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    doc = json.loads((fixtures / table).read_text())
+    corrupt(doc)
+    (fixtures / table).write_text(json.dumps(doc))
+    monkeypatch.setenv("GAITFORGE_FIXTURES", str(fixtures))
+    monkeypatch.chdir(tmp_path)
+    # the rule tables are read once per process; read the broken copies
+    push_fuzzy._rules.cache_clear()
+    gait_ca._tables.cache_clear()
+    try:
+        assert run(argv) == 2
+    finally:
+        push_fuzzy._rules.cache_clear()
+        gait_ca._tables.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {fixtures / table}: {message}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["fx"]
+
 
 def test_fixture_env_override(tmp_path, monkeypatch):
     for name in ("ca_rules.json", "tables_5_1_to_5_6.json",

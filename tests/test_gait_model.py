@@ -118,7 +118,6 @@ def test_eval_against_naive_oracle():
     vf = PolynomialVectorField(
         coefficients=(-4.061e4, 7.201e4, -4.774e4, 1.393e4, -1513.0),
         error_offset=2.8,
-        valid_interval=(0.0, 0.5),
     )
     x = 0.05
     horner = eval_vector_field(vf, x)
@@ -135,11 +134,6 @@ def test_zero_polynomial():
 def test_bank_fixture_roundtrip():
     bank = FieldBank.default()
     assert bank.get("left_hip", "LR").coefficients[0] == -4.061e4
-
-
-def test_strict_interval_enforcement():
-    vf = PolynomialVectorField((1.0, 0.0, 0.0), valid_interval=(0.0, 0.5))
-    assert eval_vector_field(vf, 0.7) == pytest.approx(0.49)
 
 
 def test_horner_matches_naive_for_all_table_fields():
@@ -166,7 +160,7 @@ def test_degree_bounds():
 # ---------------------------------------------------------------------------
 
 def constant_bank(value: float) -> FieldBank:
-    vf = {"coeffs": [0.0, 0.0, value], "error": 0.0, "interval": [0.0, 1.6]}
+    vf = {"coeffs": [0.0, 0.0, value], "error": 0.0}
     return FieldBank.from_dict(
         {jkey: {ph.name: dict(vf) for ph in GaitPhase} for jkey in gm.JOINT_KEYS}
     )
@@ -247,6 +241,40 @@ def test_bank_without_a_field_is_refused_when_built():
         FieldBank.from_dict(doc)
 
 
+def test_bank_interval_column_is_the_guard_schedule_and_is_not_read():
+    # the bundled bank transcribes each field's interval, and every one is
+    # the guard schedule's interval for its phase; the schedule decides where
+    # a field applies, so a bank without the column, or with a reversed
+    # interval, gives the same cycle
+    doc = read_json(gm.fixture_path("tables_5_1_to_5_6.json"))
+    guard = PhaseSchedule.guard()
+    intervals = [(tuple(spec["interval"]), guard.interval(GaitPhase[pkey]))
+                 for phases in doc.values() for pkey, spec in phases.items()]
+    assert len(intervals) == 42
+    assert all(have == want for have, want in intervals)
+    want = generate_gait_cycle(FieldBank.from_dict(doc))
+    for interval in (None, [1, 0]):
+        for phases in doc.values():
+            for spec in phases.values():
+                if interval is None:
+                    del spec["interval"]
+                else:
+                    spec["interval"] = interval
+        got = generate_gait_cycle(FieldBank.from_dict(doc))
+        assert all(got.angles[k].tobytes() == want.angles[k].tobytes() for k in gm.JOINT_KEYS)
+    assert "interval" not in FieldBank.from_dict(doc).to_dict()["left_hip"]["LR"]
+
+
+def test_bundled_bank_without_a_field_names_the_file(tmp_path, monkeypatch):
+    doc = FieldBank.default().to_dict()
+    del doc["left_knee"]["MST"]
+    (tmp_path / "tables_5_1_to_5_6.json").write_text(json.dumps(doc))
+    monkeypatch.setenv("GAITFORGE_FIXTURES", str(tmp_path))
+    with pytest.raises(ValueError, match=r"tables_5_1_to_5_6\.json: malformed model bank: "
+                                         r"no field for \(left_knee, MST\)$"):
+        FieldBank.default()
+
+
 def test_missing_field_is_configuration_error():
     doc = FieldBank.default().to_dict()
     del doc["left_hip"]["MST"]
@@ -315,7 +343,7 @@ def test_range_midpoint_passes():
             interval = ranges.interval(phase_of(x, traj.schedule), jkey)
             if interval:
                 vals[i] = 0.5 * (interval[0] + interval[1])
-    report = validate_ranges(traj, ranges)
+    report = validate_ranges(traj)
     assert report.ok
     assert "within tabulated ranges" in report.summary()
 
@@ -474,7 +502,7 @@ def test_array_paths_match_scalar_reference(tc, schedule, cross_fade, constant):
         assert traj.angles[jkey].tobytes() == angles[jkey].tobytes()
 
     ranges = RangeTable.default()
-    report = validate_ranges(traj, ranges)
+    report = validate_ranges(traj)
     violations, checked, summary = reference_validation(traj, ranges)
     assert report.violations == violations
     assert len(report.violations) == len(violations)
@@ -489,7 +517,7 @@ def test_report_violations_is_a_read_only_sequence(read_only_sequence):
     traj = generate_gait_cycle(FieldBank.default(), GaitModelConfig(tc=1e-3))
     ranges = RangeTable.default()
     violations, _, _ = reference_validation(traj, ranges)
-    read_only_sequence(validate_ranges(traj, ranges).violations, violations)
+    read_only_sequence(validate_ranges(traj).violations, violations)
 
 
 def test_write_tsv_bytes_match_per_value_formatting(tmp_path):

@@ -206,7 +206,7 @@ def test_numpy_verbs_load_openblas_with_a_short_idle_spin(preset, seen, tmp_path
 # ---------------------------------------------------------------------------
 
 GUARD = gait_model.PhaseSchedule.guard()
-FIELD = gait_model.PolynomialVectorField((1.0, 2.0, 3.0), 0.5, (0.0, 1.0))
+FIELD = gait_model.PolynomialVectorField((1.0, 2.0, 3.0), 0.5)
 REACTION = push_fuzzy.ReactionMembership(small_roll=1.0)
 
 # one factory per immutable record; each call builds an equal, new record
@@ -224,7 +224,7 @@ FROZEN = {
     "RangeCheckOutcome": lambda: push_fuzzy.RangeCheckOutcome("pass", "b1",
                                                               push_fuzzy.Strategy.HIP),
     "PhaseSchedule": lambda: gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES),
-    "PolynomialVectorField": lambda: gait_model.PolynomialVectorField([1, 2, 3], 0.5, [0, 1]),
+    "PolynomialVectorField": lambda: gait_model.PolynomialVectorField([1, 2, 3], 0.5),
     "GaitModelConfig": lambda: gait_model.GaitModelConfig(tc=0.01),
     "BoundaryGap": lambda: gait_model.BoundaryGap(0.5, gait_model.GaitPhase.LR,
                                                   gait_model.GaitPhase.MST, {"left_hip": 1.0}),
@@ -312,8 +312,7 @@ def test_records_of_different_values_or_types_differ():
     (gait_model.GaitModelConfig(tc=0.5),
      "GaitModelConfig(tc=0.5, schedule=PhaseSchedule(boundaries=(0.5, 0.733, 0.9833, "
      "1.1167, 1.2667, 1.4333, 1.6)))"),
-    (FIELD, "PolynomialVectorField(coefficients=(1.0, 2.0, 3.0), error_offset=0.5, "
-            "valid_interval=(0.0, 1.0))"),
+    (FIELD, "PolynomialVectorField(coefficients=(1.0, 2.0, 3.0), error_offset=0.5)"),
     (gait_model.RangeViolation(gait_model.GaitPhase.LR, "left_hip", 3, 0.05, 40.0, -5.0, 30.0),
      "RangeViolation(phase=<GaitPhase.LR: 0>, joint='left_hip', index=3, x=0.05, "
      "angle=40.0, lo=-5.0, hi=30.0)"),
@@ -342,8 +341,8 @@ def test_checked_records_keep_their_checks():
         push_fuzzy.ReactionMembership(large_pitch=2)
     with pytest.raises(ValueError, match="expected 7 boundaries, got 6"):
         gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES[:-1])
-    with pytest.raises(ValueError, match=r"invalid interval \[1.0, 0.0\]"):
-        gait_model.PolynomialVectorField((1.0, 2.0, 3.0), valid_interval=(1.0, 0.0))
+    with pytest.raises(ValueError, match="coefficients and error offset must be finite"):
+        gait_model.PolynomialVectorField((1.0, 2.0, 3.0), math.inf)
     with pytest.raises(ValueError, match="tc must be finite and strictly positive, got 0.0"):
         gait_model.GaitModelConfig(tc=0.0)
     with pytest.raises(ValueError, match="sample period must be positive"):
