@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from .fixtures import fixture_path
-from .tables import json_text, write_json, write_rows
+from .tables import json_text, read_table, write_json, write_rows
 
 if TYPE_CHECKING:
     from . import gait_model
@@ -135,7 +135,7 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
     if path is None:
         return gait_model.FieldBank.default()
     _open_inputs(path)
-    return gait_model.FieldBank.from_json(path)
+    return read_table(path, "model bank", gait_model.FieldBank.from_dict)
 
 
 def _gait_config(args) -> gait_model.GaitModelConfig:

@@ -10,12 +10,12 @@ other.
 
 from __future__ import annotations
 
-from enum import Enum, IntEnum
+from enum import IntEnum
 from functools import lru_cache
 
 from .fixtures import fixture_path
 from .records import FrozenRecord
-from .tables import read_json
+from .tables import read_table
 
 # Longest sequence predict_sequence builds; its states hold about 88 bytes each.
 MAX_STEPS = 1_000_000
@@ -81,19 +81,16 @@ def decode(state: CAState) -> tuple[Leg, SubPhase]:
 def _tables() -> tuple[dict[int, int], dict[SubPhase, SubPhase]]:
     """The bundled ``next`` and ``complement`` maps. A table of another shape
     raises ``ValueError("{path}: malformed CA rules: ...")``."""
-    path = fixture_path("ca_rules.json")
-    doc = read_json(path)
-    try:
-        nxt = {int(k, 2): int(v, 2) for k, v in doc["next"].items()}
-        comp = {SubPhase[k]: SubPhase[v] for k, v in doc["complement"].items()}
-    except KeyError as exc:
-        raise ValueError(f"{path}: malformed CA rules: missing or unknown key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed CA rules: {exc}") from None
+    return read_table(fixture_path("ca_rules.json"), "CA rules", _convert_tables)
+
+
+def _convert_tables(doc) -> tuple[dict[int, int], dict[SubPhase, SubPhase]]:
+    nxt = {int(k, 2): int(v, 2) for k, v in doc["next"].items()}
+    comp = {SubPhase[k]: SubPhase[v] for k, v in doc["complement"].items()}
     if sorted(nxt) != list(range(16)) or not set(nxt.values()) <= set(nxt):
-        raise ValueError(f"{path}: malformed CA rules: next must map all 16 codes to codes")
+        raise ValueError("next must map all 16 codes to codes")
     if len(comp) != len(SubPhase):
-        raise ValueError(f"{path}: malformed CA rules: complement must cover all 8 sub-phases")
+        raise ValueError("complement must cover all 8 sub-phases")
     return nxt, comp
 
 

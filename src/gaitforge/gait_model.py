@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .fixtures import fixture_path
 from .records import FrozenRecord, Record
-from .tables import ColumnRows, is_number, read_json, write_rows
+from .tables import ColumnRows, number, read_table, write_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -269,11 +269,11 @@ class FieldBank:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "FieldBank":
         """Build from ``{joint: {phase: {"coeffs", "error"}}}``, where
-        ``coeffs`` is a list of numbers and ``error`` a number; a document
-        of another shape raises ValueError. A string or a bool is not a
-        number here. Other keys of a field, such as the ``interval`` the
-        bundled bank transcribes, are not read: the phase schedule decides
-        where a field applies."""
+        ``coeffs`` is a list of numbers and ``error`` a number, each finite
+        (:func:`~gaitforge.tables.number`); a document of another shape
+        raises ValueError. Other keys of a field, such as the ``interval``
+        the bundled bank transcribes, are not read: the phase schedule
+        decides where a field applies."""
         if not isinstance(doc, Mapping):
             raise ValueError("expected an object keyed by joint")
         fields: dict[str, dict[str, PolynomialVectorField]] = {}
@@ -283,30 +283,22 @@ class FieldBank:
             fields[jkey] = {}
             for pkey, spec in phases.items():
                 try:
-                    coeffs, error = spec["coeffs"], spec["error"]
-                    if not (isinstance(coeffs, list) and all(map(is_number, coeffs + [error]))):
-                        raise ValueError("coeffs must be a list of numbers, error a number")
-                    fields[jkey][pkey] = PolynomialVectorField(coeffs, float(error))
+                    coeffs = spec["coeffs"]
+                    if not isinstance(coeffs, list):
+                        raise ValueError("coeffs must be a list of numbers")
+                    fields[jkey][pkey] = PolynomialVectorField(map(number, coeffs),
+                                                               number(spec["error"]))
                 except KeyError as exc:
                     raise ValueError(f"field ({jkey}, {pkey}) has no {exc}") from None
-                except (TypeError, ValueError, OverflowError) as exc:
+                except (TypeError, ValueError) as exc:
                     raise ValueError(f"field ({jkey}, {pkey}): {exc}") from None
         return cls(fields)
 
     @classmethod
-    def from_json(cls, path) -> "FieldBank":
-        """The bank in the JSON file ``path``; a document :meth:`from_dict`
-        refuses, or one that lacks a field, raises
-        ``ValueError("{path}: malformed model bank: ...")``."""
-        doc = read_json(path)
-        try:
-            return cls.from_dict(doc)
-        except (ValueError, MissingFieldError) as exc:
-            raise ValueError(f"{path}: malformed model bank: {exc}") from None
-
-    @classmethod
     def default(cls) -> "FieldBank":
-        return cls.from_json(fixture_path("tables_5_1_to_5_6.json"))
+        """The bundled bank; a malformed one raises ``ValueError("{path}:
+        malformed model bank: ...")``."""
+        return read_table(fixture_path("tables_5_1_to_5_6.json"), "model bank", cls.from_dict)
 
 
 class BoundaryGap(NamedTuple):
@@ -427,7 +419,8 @@ RANGE_ROW_OF_PHASE = {
 
 
 class RangeTable:
-    """Admissible angle interval per (sub-phase, joint).
+    """Admissible angle interval per (sub-phase, joint), built from ``{row:
+    {joint: [a, b]}}`` with finite numbers a and b.
 
     Intervals are stored order-normalized: several source rows print their
     endpoints high-before-low, so the two tabulated values are sorted on
@@ -436,10 +429,7 @@ class RangeTable:
 
     def __init__(self, rows: Mapping[str, Mapping[str, Sequence[float]]]):
         self._rows = {
-            row: {
-                jkey: (min(float(a), float(b)), max(float(a), float(b)))
-                for jkey, (a, b) in joints.items()
-            }
+            row: {jkey: tuple(sorted((number(a), number(b)))) for jkey, (a, b) in joints.items()}
             for row, joints in rows.items()
         }
 
@@ -450,15 +440,9 @@ class RangeTable:
 
     @classmethod
     def default(cls) -> "RangeTable":
-        """The bundled table; a document of another shape than ``{row:
-        {joint: [a, b]}}`` with numbers a and b raises
-        ``ValueError("{path}: malformed range table: ...")``."""
-        path = fixture_path("joint_ranges.json")
-        doc = read_json(path)
-        try:
-            return cls(doc)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed range table: {exc}") from None
+        """The bundled table; a malformed one raises ``ValueError("{path}:
+        malformed range table: ...")``."""
+        return read_table(fixture_path("joint_ranges.json"), "range table", cls)
 
 
 class RangeViolation(NamedTuple):

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple
 
 from .fixtures import fixture_path
 from .records import FrozenRecord
-from .tables import is_number, read_json
+from .tables import number, read_table
 
 
 class Direction(Enum):
@@ -121,63 +121,53 @@ class PushResponse(NamedTuple):
         }
 
 
-def _numbers(value, n: int) -> bool:
-    return isinstance(value, list) and len(value) == n and all(map(is_number, value))
-
-
-def _is_pair(cell) -> bool:
-    return (isinstance(cell, list) and len(cell) == 2
-            and cell[0] in ROLL_KEYS and cell[1] in PITCH_KEYS)
-
-
-_STRATEGY_NAMES = sorted(s.value for s in Strategy)
-
-# Each key of the rule table, the shape the functions below index it by, and
-# a test of that shape
-_RULE_SHAPES = {
-    "force_limit": ("a finite number", lambda v: is_number(v) and math.isfinite(v)),
-    "force_sets": ("an object of [a, b, c, d] number lists",
-                   lambda v: isinstance(v, dict) and all(_numbers(s, 4) for s in v.values())),
-    "fis1": ('an object of {"roll", "pitch"} reaction terms',
-             lambda v: isinstance(v, dict) and all(
-                 isinstance(c, dict) and _is_pair([c.get("roll"), c.get("pitch")])
-                 for c in v.values())),
-    "fis2": ("an object of non-empty [roll, pitch] term-pair lists, one per strategy",
-             lambda v: isinstance(v, dict) and sorted(v) == _STRATEGY_NAMES
-             and all(isinstance(cells, list) and cells and all(map(_is_pair, cells))
-                     for cells in v.values())),
-    "bands": ("an object of [lo, hi] number pairs",
-              lambda v: isinstance(v, dict) and all(_numbers(b, 2) for b in v.values())),
-    "lookup": ('a list of {"band", "roll", "pitch", "strategy"} rows',
-               lambda v: isinstance(v, list) and all(
-                   isinstance(r, dict) and r.get("strategy") in _STRATEGY_NAMES
-                   and all(isinstance(r.get(k), str) for k in ("band", "roll", "pitch"))
-                   for r in v)),
-    "validation": ('a list of {"band", "intervals", "strategy"} rows, each interval '
-                   'a [lo, hi] number pair',
-                   lambda v: isinstance(v, list) and all(
-                       isinstance(r, dict) and "band" in r
-                       and r.get("strategy") in _STRATEGY_NAMES
-                       and isinstance(r.get("intervals"), dict)
-                       and all(_numbers(i, 2) for i in r["intervals"].values()) for r in v)),
-}
-
-
 @lru_cache(maxsize=1)
 def _rules() -> dict:
-    """The bundled rule table. Every key the controller reads is checked
-    here, once, so a malformed table raises
-    ``ValueError("{path}: malformed push rules: ...")`` before any rule runs."""
-    path = fixture_path("push_rules.json")
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: malformed push rules: expected an object")
-    for key, (shape, ok) in _RULE_SHAPES.items():
-        if key not in doc:
-            raise ValueError(f"{path}: malformed push rules: no {key!r}")
-        if not ok(doc[key]):
-            raise ValueError(f"{path}: malformed push rules: {key!r} must be {shape}")
-    return doc
+    """The bundled rule table, converted once into the form the functions
+    below read: numbers as floats, force sets as (a, b, c, d) and bands as
+    (lo, hi), reaction terms as (roll, pitch) pairs, strategies as
+    :class:`Strategy` members and each validation interval as (lo, hi),
+    low end first. A table of another shape raises
+    ``ValueError("{path}: malformed push rules: ...")`` before any rule
+    runs."""
+    return read_table(fixture_path("push_rules.json"), "push rules", _convert_rules)
+
+
+def _convert_rules(doc) -> dict:
+    rules = {
+        "force_limit": number(doc["force_limit"]),
+        "force_sets": {name: _floats(abcd, 4) for name, abcd in doc["force_sets"].items()},
+        "fis1": {level: _term_pair((terms["roll"], terms["pitch"]))
+                 for level, terms in doc["fis1"].items()},
+        "fis2": {Strategy(name).value: [_term_pair(cell) for cell in cells]
+                 for name, cells in doc["fis2"].items()},
+        "bands": {name: _floats(band, 2) for name, band in doc["bands"].items()},
+        "lookup": [(row["band"], row["roll"], row["pitch"], Strategy(row["strategy"]))
+                   for row in doc["lookup"]],
+        "validation": [(row["band"],
+                        {jkey: tuple(sorted(_floats(ab, 2)))
+                         for jkey, ab in row["intervals"].items()},
+                        Strategy(row["strategy"]))
+                       for row in doc["validation"]],
+    }
+    if len(rules["fis2"]) != len(Strategy) or not all(rules["fis2"].values()):
+        raise ValueError("'fis2' must give each strategy a non-empty list of "
+                         "[roll, pitch] term pairs")
+    return rules
+
+
+def _floats(values, n: int) -> tuple[float, ...]:
+    floats = tuple(map(number, values))
+    if len(floats) != n:
+        raise ValueError(f"expected {n} numbers, got {len(floats)}")
+    return floats
+
+
+def _term_pair(cell) -> tuple[str, str]:
+    roll, pitch = cell
+    if roll not in ROLL_KEYS or pitch not in PITCH_KEYS:
+        raise ValueError(f"{list(cell)!r} is not a [roll, pitch] term pair")
+    return roll, pitch
 
 
 def _trapezoid(x: float, abcd) -> float:
@@ -231,9 +221,8 @@ def fis1_infer(force_degrees: Mapping[str, float],
     roll_dir = max(dd[Direction.LEFT], dd[Direction.RIGHT])
     pitch_dir = max(dd[Direction.FORWARD], dd[Direction.BACKWARD])
     out = {key: 0.0 for key in REACTION_KEYS}
-    for level, consequents in _rules()["fis1"].items():
+    for level, (roll_key, pitch_key) in _rules()["fis1"].items():
         strength = float(force_degrees.get(level, 0.0))
-        roll_key, pitch_key = consequents["roll"], consequents["pitch"]
         out[roll_key] = max(out[roll_key], min(strength, roll_dir))
         out[pitch_key] = max(out[pitch_key], min(strength, pitch_dir))
     return ReactionMembership(**out)
@@ -317,13 +306,10 @@ def lookup_strategy(magnitude: float, reaction_description) -> Strategy:
     """
     _check_force(magnitude)
     roll, pitch = _parse_reaction_description(reaction_description)
-    bands = _rules()["bands"]
-    candidates = {
-        name for name, (lo, hi) in bands.items() if lo <= magnitude <= hi
-    }
-    for row in _rules()["lookup"]:
-        if row["band"] in candidates and row["roll"] == roll and row["pitch"] == pitch:
-            return Strategy(row["strategy"])
+    candidates = [name for name, (lo, hi) in _rules()["bands"].items() if lo <= magnitude <= hi]
+    for band, row_roll, row_pitch, strategy in _rules()["lookup"]:
+        if band in candidates and row_roll == roll and row_pitch == pitch:
+            return strategy
     raise LookupError(
         f"no table row for {magnitude} N with {roll} roll / {pitch} pitch"
     )
@@ -349,16 +335,10 @@ def validate_against_ranges(response: PushResponse,
     """
     if len(observed_angles) != 6:
         raise ValueError("expected one angle per joint (six values)")
-    for row in _rules()["validation"]:
-        hit = True
-        for jkey, (a, b) in row["intervals"].items():
-            lo, hi = min(a, b), max(a, b)
-            angle = observed_angles.get(jkey)
-            if angle is None or not lo <= angle <= hi:
-                hit = False
-                break
-        if hit:
-            expected = Strategy(row["strategy"])
+    for band, intervals, expected in _rules()["validation"]:
+        # a joint without an observation is outside its interval
+        if all(lo <= observed_angles.get(jkey, math.nan) <= hi
+               for jkey, (lo, hi) in intervals.items()):
             status = "pass" if expected == response.strategy else "mismatch"
-            return RangeCheckOutcome(status=status, band=row["band"], expected=expected)
+            return RangeCheckOutcome(status=status, band=band, expected=expected)
     return RangeCheckOutcome(status="unmatched")

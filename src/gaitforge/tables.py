@@ -4,15 +4,20 @@ that reads an input file, user's or fixture, and report its faults alike,
 as ``ValueError("{path}: line N: ...")``. The CSV reader reads unquoted
 comma-separated text in one pass, a block of whole lines at a time split
 with ``str.split``, and walks a block line by line only to name its first
-fault. Numbers go out with six decimal places and text fields unquoted.
-:class:`ColumnRows` reads columnar results back as records. Only the
-standard library is used, so the verbs that load no numpy can use it too.
+fault. :func:`read_table` is the one loader of a JSON table, bundled or
+given: it converts the document once into the typed form its readers use,
+and names the file behind any shape fault the conversion meets;
+:func:`number` is the conversion of one JSON number. Numbers go out with
+six decimal places and text fields unquoted. :class:`ColumnRows` reads
+columnar results back as records. Only the standard library is used, so the
+verbs that load no numpy can use it too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Iterable, Sequence
 
 # The longest field a CSV input may hold, in characters
@@ -89,10 +94,29 @@ def read_json(path):
         raise ValueError(f"{path}: nesting too deep or an integer too long to read") from None
 
 
-def is_number(value) -> bool:
-    """Whether a value :func:`read_json` gave is a JSON number: a string or
-    a bool is not."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def read_table(path, what: str, convert: Callable):
+    """``convert(read_json(path))``: the table in the JSON file ``path``, in
+    the form ``convert`` builds, which is also the check of its shape. A
+    ``KeyError`` the conversion raises becomes ``ValueError("{path}:
+    malformed {what}: no 'key'")``; an ``AttributeError``, ``LookupError``,
+    ``TypeError`` or ``ValueError`` becomes ``ValueError("{path}: malformed
+    {what}: {exc}")``."""
+    doc = read_json(path)
+    try:
+        return convert(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: malformed {what}: no {exc}") from None
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {what}: {exc}") from None
+
+
+def number(value) -> float:
+    """A JSON number :func:`read_json` gave, as a float. A string, a bool,
+    a NaN, an infinity or an integer beyond the float range raises
+    ``ValueError``."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def _read_text(path, cr_ends_lines: bool = False) -> str:

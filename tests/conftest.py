@@ -1,4 +1,9 @@
+import shutil
+import sys
+
 import pytest
+
+from gaitforge.fixtures import fixture_dir
 
 
 def check_read_only_sequence(view, items):
@@ -25,3 +30,26 @@ def check_read_only_sequence(view, items):
 def read_only_sequence():
     """The :func:`check_read_only_sequence` assertion."""
     return check_read_only_sequence
+
+
+def _clear_table_caches():
+    """Drop every memoised table of the package, as a fresh process has none."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaitforge."):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.fixture
+def bundled_tables(tmp_path, monkeypatch):
+    """A writable copy of the bundled tables in ``tmp_path / "fx"``, which
+    ``GAITFORGE_FIXTURES`` points the package at for the test. Memoised
+    tables are dropped before and after, so the test reads the copy and
+    later tests the originals."""
+    fixtures = tmp_path / "fx"
+    shutil.copytree(fixture_dir(), fixtures, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    monkeypatch.setenv("GAITFORGE_FIXTURES", str(fixtures))
+    _clear_table_caches()
+    yield fixtures
+    _clear_table_caches()

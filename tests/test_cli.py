@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -92,13 +91,10 @@ def test_plot_data_too_few_samples_exits_2_before_mkdir(tc, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_gen_gait_checks_ranges_before_writing(tmp_path, capsys, monkeypatch):
+def test_gen_gait_checks_ranges_before_writing(bundled_tables, tmp_path, capsys):
     # a fixture directory with the bank but no range table: generation runs,
     # the range check fails, and neither output is written
-    fixtures = tmp_path / "fx"
-    fixtures.mkdir()
-    shutil.copy(fixture_path("tables_5_1_to_5_6.json"), fixtures)
-    monkeypatch.setenv("GAITFORGE_FIXTURES", str(fixtures))
+    (bundled_tables / "joint_ranges.json").unlink()
     assert run(["gen-gait", "--out", str(tmp_path / "out.tsv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -824,10 +820,10 @@ GEN_GAIT = ["gen-gait", "--out", "out.tsv"]
      "malformed push rules: no 'force_limit'"),
     ("push_rules.json", lambda d: d["fis2"].update(knee=[]),
      ["push", "--force", "5", "--dir", "left", "--out", "out.json"],
-     "malformed push rules: 'fis2' must be an object of non-empty [roll, pitch] term-pair "
-     "lists, one per strategy"),
+     "malformed push rules: 'fis2' must give each strategy a non-empty list of "
+     "[roll, pitch] term pairs"),
     ("ca_rules.json", lambda d: d.pop("next"), ["ca-predict", "--init", "0101", "--out", "out.txt"],
-     "malformed CA rules: missing or unknown key 'next'"),
+     "malformed CA rules: no 'next'"),
     ("ca_rules.json", lambda d: d["next"].update({"0101": "2"}),
      ["ca-predict", "--init", "0101", "--out", "out.txt"],
      "malformed CA rules: invalid literal for int() with base 2: '2'"),
@@ -839,53 +835,44 @@ GEN_GAIT = ["gen-gait", "--out", "out.tsv"]
     ("tables_5_1_to_5_6.json", lambda d: d["left_knee"].pop("MST"),
      ["plot-data", "--out-dir", "out"],
      "malformed model bank: no field for (left_knee, MST)"),
+    ("tables_5_1_to_5_6.json",
+     lambda d: d["left_knee"]["MST"]["coeffs"].__setitem__(0, math.nan), GEN_GAIT,
+     "malformed model bank: field (left_knee, MST): expected a finite number, got nan"),
+    ("joint_ranges.json", lambda d: d["mid_stance"]["left_hip"].__setitem__(0, math.nan),
+     GEN_GAIT, "malformed range table: expected a finite number, got nan"),
+    ("joint_ranges.json", lambda d: d["mid_stance"].update(left_hip=["1.5", True]), GEN_GAIT,
+     "malformed range table: expected a finite number, got '1.5'"),
+    ("push_rules.json", lambda d: d["force_sets"]["small"].__setitem__(1, math.nan),
+     ["push", "--force", "5", "--dir", "left", "--out", "out.json"],
+     "malformed push rules: expected a finite number, got nan"),
+    ("ca_rules.json", lambda d: d["next"].update({"0101": math.nan}),
+     ["ca-predict", "--init", "0101", "--out", "out.txt"],
+     "malformed CA rules: int() can't convert non-string with explicit base"),
 ])
-def test_malformed_bundled_table_exits_2_naming_it(table, corrupt, argv, message, tmp_path,
-                                                   capsys, monkeypatch):
-    from gaitforge import push_fuzzy
-
-    fixtures = tmp_path / "fx"
-    shutil.copytree(fixture_dir(), fixtures, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
-    doc = json.loads((fixtures / table).read_text())
+def test_malformed_bundled_table_exits_2_naming_it(table, corrupt, argv, message, bundled_tables,
+                                                   tmp_path, capsys, monkeypatch):
+    doc = json.loads((bundled_tables / table).read_text())
     corrupt(doc)
-    (fixtures / table).write_text(json.dumps(doc))
-    monkeypatch.setenv("GAITFORGE_FIXTURES", str(fixtures))
+    # a NaN goes out as the NaN literal, which the JSON reader takes in
+    (bundled_tables / table).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    # the rule tables are read once per process; read the broken copies
-    push_fuzzy._rules.cache_clear()
-    gait_ca._tables.cache_clear()
-    try:
-        assert run(argv) == 2
-    finally:
-        push_fuzzy._rules.cache_clear()
-        gait_ca._tables.cache_clear()
+    assert run(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {fixtures / table}: {message}\n"
+    assert captured.err == f"error: {bundled_tables / table}: {message}\n"
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["fx"]
 
 
-def test_fixture_env_override(tmp_path, monkeypatch):
-    for name in ("ca_rules.json", "tables_5_1_to_5_6.json",
-                 "joint_ranges.json", "push_rules.json",
-                 "synthetic_gait_features.csv"):
-        shutil.copy(fixture_path(name), tmp_path / name)
-    doc = json.loads((tmp_path / "ca_rules.json").read_text())
+def test_fixture_env_override(bundled_tables):
+    doc = json.loads((bundled_tables / "ca_rules.json").read_text())
     doc["next"]["0000"] = "1111"
     doc["next"]["1111"] = "0000"
     doc["next"]["1100"] = "0011"
     doc["next"]["0011"] = "1100"
-    (tmp_path / "ca_rules.json").write_text(json.dumps(doc))
-
-    monkeypatch.setenv("GAITFORGE_FIXTURES", str(tmp_path))
-    gait_ca._tables.cache_clear()
-    try:
-        assert fixture_dir() == str(tmp_path)
-        state = gait_ca.CAState.from_bits("0000")
-        assert gait_ca.next_state(state).bits == "1111"
-    finally:
-        monkeypatch.delenv("GAITFORGE_FIXTURES")
-        gait_ca._tables.cache_clear()
+    (bundled_tables / "ca_rules.json").write_text(json.dumps(doc))
+    assert fixture_dir() == str(bundled_tables)
+    state = gait_ca.CAState.from_bits("0000")
+    assert gait_ca.next_state(state).bits == "1111"
 
 
 # ---------------------------------------------------------------------------

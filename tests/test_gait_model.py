@@ -265,11 +265,10 @@ def test_bank_interval_column_is_the_guard_schedule_and_is_not_read():
     assert "interval" not in FieldBank.from_dict(doc).to_dict()["left_hip"]["LR"]
 
 
-def test_bundled_bank_without_a_field_names_the_file(tmp_path, monkeypatch):
+def test_bundled_bank_without_a_field_names_the_file(bundled_tables):
     doc = FieldBank.default().to_dict()
     del doc["left_knee"]["MST"]
-    (tmp_path / "tables_5_1_to_5_6.json").write_text(json.dumps(doc))
-    monkeypatch.setenv("GAITFORGE_FIXTURES", str(tmp_path))
+    (bundled_tables / "tables_5_1_to_5_6.json").write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"tables_5_1_to_5_6\.json: malformed model bank: "
                                          r"no field for \(left_knee, MST\)$"):
         FieldBank.default()
