@@ -6,7 +6,12 @@ places. Bad input (a missing or malformed file, an out-of-range argument,
 or anything argparse rejects: a non-number, a bad choice, a missing or
 unknown option or verb) exits with status 2 and a one-line ``error:``
 message, line-numbered where one applies, and no usage text; ``--help``
-still prints usage. An option whose ``type=`` checks its value is checked as
+still prints usage. Every bad input is one ``ValueError``, or the
+``OSError`` of an input that cannot be opened, and :func:`main` prints it as
+that one line; a library fault whose message cannot name its source gets
+the option or file put in front, so every ``--layers`` fault names
+``--layers`` and every ``ingest`` data fault names the file.
+An option whose ``type=`` checks its value is checked as
 it is parsed, so the first such bad option on the command line is reported.
 The library checks the rest when the verb runs, in the verb's own order:
 ``simulate-block``'s ``--alpha``, ``--r``, ``--dt``, ``--x1``, ``--x2`` and
@@ -41,15 +46,6 @@ if TYPE_CHECKING:
     from . import gait_model
 
 
-class InputError(Exception):
-    """Bad or missing input: reported on stderr, exit code 2.
-
-    :func:`main` treats a ``ValueError`` from the library the same way;
-    :func:`_blame` re-raises a library fault as this one, to name the option
-    or file at fault.
-    """
-
-
 def _open_inputs(*paths) -> None:
     """Open and close each input path, so that a missing one is reported as
     ``input not found`` before the verb loads numpy or reads anything."""
@@ -57,7 +53,7 @@ def _open_inputs(*paths) -> None:
         try:
             open(path, "rb").close()
         except FileNotFoundError:
-            raise InputError(f"input not found: {path}") from None
+            raise ValueError(f"input not found: {path}") from None
 
 
 # push --dir: the values of push_fuzzy.Direction, spelled out so that building
@@ -86,7 +82,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
-        raise InputError(message.removeprefix("argument "))
+        raise ValueError(message.removeprefix("argument "))
 
 
 def _checked(convert, ok, rule: str):
@@ -107,12 +103,14 @@ def _at_least(low: int):
 
 @contextmanager
 def _blame(prefix: str, errors=ValueError):
-    """Re-raise a library fault of type ``errors`` as ``InputError(f"{prefix}:
-    {exc}")``, where ``prefix`` names the option or file behind it."""
+    """Re-raise a library fault of type ``errors`` as ``ValueError(f"{prefix}:
+    {exc}")``, where ``prefix`` names the option or file behind it. A block
+    encloses no raise that names its own source, which would get the prefix
+    too."""
     try:
         yield
     except errors as exc:
-        raise InputError(f"{prefix}: {exc}") from exc
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def _path(text: str) -> str:
@@ -212,20 +210,20 @@ def cmd_ingest(args) -> int:
     from . import capture
 
     series = capture.load_accelerometer_csv(args.infile)
-    xs, ys = series["x"], series["y"]
-    if args.zero_correct:
-        xs, ys = capture.zero_correct(xs), capture.zero_correct(ys)
-    if args.smooth == "moving-average":
-        xs, ys = capture.smooth_moving_average(xs), capture.smooth_moving_average(ys)
-    elif args.smooth == "spline":
-        xs = capture.smooth_cubic_spline(xs, knot_stride=args.knot_stride)
-        ys = capture.smooth_cubic_spline(ys, knot_stride=args.knot_stride)
     geom = capture.TwoLinkGeometry(l1=args.l1, l2=args.l2)
-    if args.ik == "alg1":
-        with _blame(args.infile):
-            t1, t2 = capture.ik_alg1_batch(xs, ys, geom)
-        theta1, theta2 = t1.values, t2.values
-    else:
+    with _blame(args.infile):
+        xs, ys = series["x"], series["y"]
+        if args.zero_correct:
+            xs, ys = capture.zero_correct(xs), capture.zero_correct(ys)
+        if args.smooth == "moving-average":
+            xs, ys = capture.smooth_moving_average(xs), capture.smooth_moving_average(ys)
+        elif args.smooth == "spline":
+            xs = capture.smooth_cubic_spline(xs, knot_stride=args.knot_stride)
+            ys = capture.smooth_cubic_spline(ys, knot_stride=args.knot_stride)
+        if args.ik == "alg1":
+            theta1, theta2 = (s.values for s in capture.ik_alg1_batch(xs, ys, geom))
+    if args.ik == "exact":
+        # outside the block: each fault names its data row after the file
         pairs = []
         for i, (x, y) in enumerate(zip(xs.values, ys.values)):
             try:
@@ -233,7 +231,7 @@ def cmd_ingest(args) -> int:
                     capture.ik_two_link(float(x), float(y), geom, elbow=args.elbow)
                 )
             except capture.UnreachableError as exc:
-                raise InputError(f"{args.infile}: data row {i + 1}: {exc}") from exc
+                raise ValueError(f"{args.infile}: data row {i + 1}: {exc}") from exc
         theta1 = np.array([p[0] for p in pairs])
         theta2 = np.array([p[1] for p in pairs])
     t = xs.times
@@ -307,16 +305,16 @@ def cmd_classify(args) -> int:
     train = learn.Dataset.from_csv(args.train)
     test = learn.Dataset.from_csv(args.test)
     if test.features.shape[1] != train.features.shape[1]:
-        raise InputError(f"{args.test}: {test.features.shape[1]} feature columns, "
+        raise ValueError(f"{args.test}: {test.features.shape[1]} feature columns, "
                          f"but {args.train} has {train.features.shape[1]}")
     # align test labels onto the training class order
     mapping = {name: i for i, name in enumerate(train.class_names)}
     try:
         relabeled = np.array([mapping[test.class_names[l]] for l in test.labels])
     except KeyError as exc:
-        raise InputError(f"{args.test}: class {exc} is not in {args.train}") from exc
+        raise ValueError(f"{args.test}: class {exc} is not in {args.train}") from exc
     test = learn.Dataset(test.features, relabeled, train.class_names)
-    with _blame("--layers", learn.WeightLimitError):
+    with _blame("--layers", learn.LayerSizeError):
         predict = trainer(train)
     preds = predict(test.features)
     cm, per_class, error = learn.confusion_and_accuracy(
@@ -334,18 +332,15 @@ def cmd_cv(args) -> int:
     from . import learn
 
     data = learn.Dataset.from_csv(path)
-    with _blame("--layers", learn.WeightLimitError):
-        result = learn.kfold_cv(data, _make_trainer(args, args.method),
-                                folds=args.folds, seed=args.seed)
+    methods = [m for m in (args.method, args.baseline) if m]
+    with _blame("--layers", learn.LayerSizeError):
+        results = [learn.kfold_cv(data, _make_trainer(args, m), folds=args.folds,
+                                  seed=args.seed) for m in methods]
+    result = results[0]
     report = {"folds": args.folds, "method": args.method, **result._asdict()}
     if args.baseline:
-        with _blame("--layers", learn.WeightLimitError):
-            baseline = learn.kfold_cv(data, _make_trainer(args, args.baseline),
-                                      folds=args.folds, seed=args.seed)
-        anova = learn.anova_single_factor(
-            [result.fold_accuracies, baseline.fold_accuracies]
-        )
-        report["baseline"] = {"method": args.baseline, **baseline._asdict()}
+        report["baseline"] = {"method": args.baseline, **results[1]._asdict()}
+        anova = learn.anova_single_factor([r.fold_accuracies for r in results])
         report["anova"] = anova.as_dict()
     if args.out is not None:
         write_json(args.out, report)
@@ -542,9 +537,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, OSError, ValueError) as exc:
-        # ValueError covers the library's argument checks and its subclasses
-        # (RecoveryImpossible, StratificationError, UnreachableError, ...);
+    except (OSError, ValueError) as exc:
+        # ValueError is every bad input, the library's subclasses included
+        # (LayerSizeError, StratificationError, UnreachableError, ...);
         # OSError a path that cannot be opened, such as a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -147,8 +147,9 @@ def kmeans_sse(data, centroids, assignments) -> float:
 MAX_WEIGHTS = 10_000_000
 
 
-class WeightLimitError(ValueError):
-    """The networks trained at once would hold more than MAX_WEIGHTS numbers."""
+class LayerSizeError(ValueError):
+    """The layer sizes do not fit the data, or the networks trained at once
+    would hold more than MAX_WEIGHTS numbers."""
 
 
 def _sigmoid(z):
@@ -240,7 +241,10 @@ def mlp_train_lockstep(inputs: Sequence, targets: Sequence, layers: Sequence[int
     thresholds move against the gradient after every sample, in data order,
     for ``epochs`` passes; a network with fewer samples sits out the last
     steps of each pass. Each network ends bit for bit where training it
-    alone would, so k fold models cost about one loop, not k.
+    alone would, so k fold models cost about one loop, not k. Layer sizes
+    whose first is not the input width or whose last is not the target
+    width, or networks over MAX_WEIGHTS, raise :class:`LayerSizeError`
+    before any weight exists.
     """
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"learning rate must be finite and positive, got {eta}")
@@ -258,13 +262,13 @@ def mlp_train_lockstep(inputs: Sequence, targets: Sequence, layers: Sequence[int
         raise ValueError(f"layer sizes must be >= 1, got {layers}")
     for x, y in zip(xs, ys):
         if x.shape[1] != layers[0] or y.shape[1] != layers[-1]:
-            raise ValueError("layer sizes do not match the data dimensions")
+            raise LayerSizeError("layer sizes do not match the data dimensions")
     k = len(xs)
     count = k * sum(a * b + b for a, b in zip(layers, layers[1:]))
     if count > MAX_WEIGHTS:
         sizes = ",".join(str(n) for n in layers)
-        raise WeightLimitError(f"{k} x ({sizes}) networks need {count} weights and "
-                               f"thresholds, over the limit of {MAX_WEIGHTS}")
+        raise LayerSizeError(f"{k} x ({sizes}) networks need {count} weights and "
+                             f"thresholds, over the limit of {MAX_WEIGHTS}")
 
     # longest sets first, so the networks that still have a sample at step
     # i are the first live[i]: a view of the stacks, updated in place
@@ -301,12 +305,6 @@ def mlp_train_raw(inputs, targets, layers: Sequence[int], eta: float,
     one-network case of :func:`mlp_train_lockstep`. Deterministic for a
     fixed seed."""
     return mlp_train_lockstep([inputs], [targets], layers, eta, epochs, seed=seed)[0]
-
-
-def _one_hot(data: Dataset, layers: tuple[int, ...]) -> np.ndarray:
-    if layers[-1] != data.n_classes:
-        raise ValueError("output layer size must equal the number of classes")
-    return np.eye(data.n_classes)[data.labels]
 
 
 def mlp_classify(model: MlpModel, x) -> int:
@@ -410,7 +408,9 @@ def mlp_trainer(layers: Sequence[int] | None, eta: float, epochs: int,
                 seed: int = 42) -> Callable[[Dataset], Callable]:
     """A trainer for :func:`kfold_cv`. Without ``layers`` the network is
     (features, 8, classes). Its ``fit_folds`` attribute trains the models of
-    several training sets in one :func:`mlp_train_lockstep` loop."""
+    several training sets in one :func:`mlp_train_lockstep` loop, on one-hot
+    targets of the dataset's classes; layer sizes that do not fit the data
+    raise :class:`LayerSizeError` there."""
     def predictor(model: MlpModel):
         def predict(features):
             return np.array([mlp_classify(model, row) for row in np.atleast_2d(features)])
@@ -420,7 +420,7 @@ def mlp_trainer(layers: Sequence[int] | None, eta: float, epochs: int,
         first = train_sets[0]
         arch = tuple(int(n) for n in layers or (first.features.shape[1], 8, first.n_classes))
         models = mlp_train_lockstep([t.features for t in train_sets],
-                                    [_one_hot(t, arch) for t in train_sets],
+                                    [np.eye(t.n_classes)[t.labels] for t in train_sets],
                                     arch, eta, epochs, seed=seed)
         return [predictor(model) for model in models]
 

@@ -261,6 +261,8 @@ def write_bad_inputs(work):
                zip(t, 1e200 * (6.0 + np.sin(9 * t)), 1e200 * (2.0 + t)))
     # finite sample times whose step overflows
     (work / "huge_t.csv").write_text("t,x,y,z\n-1e308,6,2,0\n1e308,6,2,0\n1e308,6,2,0\n")
+    # too short to smooth
+    (work / "short.csv").write_text("t,x,y,z\n0.0,6,2,0\n0.01,6,2,0\n")
 
 
 DATA = str(fixture_path("synthetic_gait_features.csv"))
@@ -294,6 +296,9 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
     (["ingest", "--in", "huge_t.csv"], "huge_t.csv: sample times overflow: "),
     (["ingest", "--in", "huge_t.csv", "--ik", "exact", "--smooth", "spline"],
      "huge_t.csv: sample times overflow: "),
+    *((["ingest", "--in", "short.csv", "--smooth", smooth],
+      "short.csv: need at least 3 samples to smooth\n")
+      for smooth in ("spline", "moving-average")),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
     write_bad_inputs(tmp_path)
@@ -699,6 +704,24 @@ def test_mlp_over_the_weight_limit_exits_2(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: --layers: ") and err.count("\n") == 1
     assert "over the limit of 10000000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("layers", ["5,8,4", "6,8,3"], ids=["input", "output"])
+@pytest.mark.parametrize("argv", [
+    ["cv", "--method", "mlp", "--epochs", "1"],
+    ["cv", "--method", "knn", "--baseline", "mlp", "--epochs", "1", "--out", "cv.json"],
+    ["classify", "--train", "{data}", "--test", "{data}", "--out", "m.json",
+     "--method", "mlp", "--epochs", "1"],
+], ids=["cv", "baseline", "classify"])
+def test_mlp_layers_that_do_not_fit_the_data_exit_2(argv, layers, tmp_path, capsys,
+                                                     monkeypatch):
+    # the bundled set has 6 feature columns and 4 classes
+    monkeypatch.chdir(tmp_path)
+    data = fixture_path("synthetic_gait_features.csv")
+    assert run([a.format(data=data) for a in argv] + ["--layers", layers]) == 2
+    assert capsys.readouterr().err == \
+        "error: --layers: layer sizes do not match the data dimensions\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,9 @@ which with ``dataclasses`` took about a third of their own start-up;
 ``gaitforge.push_fuzzy``, and no verb loads ``csv``: every CSV input goes
 through the package's own reader. Started without ``site`` (``python -S``), those
 four verbs load neither ``pathlib`` nor ``importlib.resources`` (nor the
-``zipfile`` and ``tempfile`` it brings). A missing input file is reported
+``zipfile`` and ``tempfile`` it brings), and on CPython 3.11 they load
+nothing beyond an allow-list of modules, so that any new start-up import
+fails a test. A missing input file is reported
 before numpy loads. A verb that loads numpy loads it with
 ``OPENBLAS_THREAD_TIMEOUT`` set, to 4 unless the caller set it.
 
@@ -174,6 +176,42 @@ def test_verb_runs_without_pathlib_or_importlib_resources(argv, tmp_path):
                           '("pathlib", "importlib.resources", "zipfile", "tempfile")')
     assert probe != PROBE
     assert loaded_after(argv, tmp_path, probe, flags=["-S"]) == set()
+
+
+# Every module a numpy-free verb may load under -S beyond those the probe has
+# loaded before it imports the CLI (json and what json needs), for CPython
+# 3.11: argparse brings gettext and locale, and shutil (with bz2, lzma, zlib
+# and fnmatch) for the terminal width; typing is cli's and push_fuzzy's
+START_UP_MODULES = {
+    "__future__", "_bz2", "_compression", "_locale", "_lzma", "_stat", "_typing", "argparse",
+    "bz2", "collections.abc", "contextlib", "errno", "fnmatch", "gaitforge", "gaitforge.cli",
+    "gaitforge.fixtures", "gaitforge.records", "gaitforge.tables", "genericpath", "gettext",
+    "locale", "lzma", "math", "os", "os.path", "posixpath", "shutil", "stat", "typing",
+    "typing.io", "typing.re", "warnings", "zlib",
+}
+START_UP_PROBE = """
+import json, sys
+before = set(sys.modules)
+from gaitforge import cli
+rc = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason=f"start-up module lists are pinned for CPython 3.11, not "
+           f"{sys.implementation.name} {sys.version.split()[0]}")
+@pytest.mark.parametrize("argv, own", [
+    (["push", "--force", "5", "--dir", "left"], {"gaitforge.push_fuzzy"}),
+    (["ca-predict", "--init", "0101", "--n", "4"], {"gaitforge.gait_ca"}),
+    (["simulate-block", "--t-end", "1", "--out", "trace.csv"],
+     {"array", "gaitforge.rocking_block"}),
+    (["gen-gait", "--out", "cycle.tsv"], {"_bisect", "array", "bisect", "gaitforge.gait_model"}),
+], ids=["push", "ca-predict", "simulate-block", "gen-gait"])
+def test_verb_loads_only_its_allowed_start_up_modules(argv, own, tmp_path):
+    loaded = loaded_after(argv, tmp_path, START_UP_PROBE, flags=["-S"])
+    assert loaded - START_UP_MODULES - own == set()
 
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it; the spy

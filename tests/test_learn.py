@@ -11,9 +11,9 @@ from gaitforge.learn import (
     AnovaResult,
     ConfusionMatrix,
     Dataset,
+    LayerSizeError,
     StratificationError,
     UndefinedClassError,
-    WeightLimitError,
     accuracy_from_counts,
     anova_from_summary,
     anova_single_factor,
@@ -216,7 +216,7 @@ def test_dataset_training_and_dimension_checks():
                           epochs=150, seed=2)
     preds = [mlp_classify(model, x) for x in data.features]
     assert np.mean(np.array(preds) == data.labels) > 0.9
-    with pytest.raises(ValueError, match="number of classes"):
+    with pytest.raises(LayerSizeError, match="do not match the data dimensions"):
         mlp_trainer((2, 6, 3), eta=0.3, epochs=1)(data)
     with pytest.raises(ValueError):
         mlp_predict(model, np.zeros(5))
@@ -272,15 +272,22 @@ def test_weight_limit_is_checked_before_any_weight_exists():
     x, y = np.zeros((2, 6)), np.zeros((2, 4))
     tracemalloc.start()
     try:
-        with pytest.raises(WeightLimitError, match=r"1 x \(6,1000000,4\) networks need 11000004"):
+        with pytest.raises(LayerSizeError, match=r"1 x \(6,1000000,4\) networks need 11000004"):
             mlp_train_raw(x, y, (6, 1_000_000, 4), eta=0.5, epochs=1)
         # one (6,500000,4) network holds 5,500,004 numbers; two in lockstep are too many
-        with pytest.raises(WeightLimitError, match=r"2 x \(6,500000,4\) networks need 11000008"):
+        with pytest.raises(LayerSizeError, match=r"2 x \(6,500000,4\) networks need 11000008"):
             mlp_train_lockstep([x, x], [y, y], (6, 500_000, 4), eta=0.5, epochs=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("layers", [(5, 8, 4), (6, 8, 3)], ids=["input", "output"])
+def test_layer_sizes_that_do_not_fit_the_data_raise_layer_size_error(layers):
+    x, y = np.zeros((2, 6)), np.zeros((2, 4))
+    with pytest.raises(LayerSizeError, match="layer sizes do not match the data dimensions"):
+        mlp_train_lockstep([x, x], [y, y], layers, eta=0.5, epochs=1)
 
 
 def test_saturated_sigmoid_trains_and_predicts_without_warnings():
