@@ -21,6 +21,12 @@ A verb that exits with status 2 writes nothing: it computes every output
 before it writes the first. The exception is a write that fails partway,
 such as on a full disk or where an output path is a directory.
 
+A verb process enters through :func:`run`, which ends it with ``os._exit``
+once stdout and stderr are flushed, skipping the interpreter's teardown, so
+``atexit`` handlers do not run. Every file a verb writes must therefore be
+closed before :func:`main` returns, as each writer's ``with`` block does.
+:func:`main` itself returns the exit status, for callers in process.
+
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
@@ -37,7 +43,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .fixtures import fixture_path
 from .tables import json_text, read_table, write_json, write_rows
@@ -545,5 +551,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry point: :func:`main`, then flush ``sys.stdout`` and
+    ``sys.stderr`` (either may be ``None`` where the stream was closed at
+    start) and end with ``os._exit``, skipping the interpreter's teardown,
+    which writes nothing. If a flush fails, ``sys.exit`` ends the process as
+    it would without this, so a failed write is reported as before."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

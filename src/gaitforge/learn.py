@@ -260,13 +260,14 @@ def mlp_train_lockstep(inputs: Sequence, targets: Sequence, layers: Sequence[int
     layers = tuple(int(n) for n in layers)
     if min(layers) < 1:
         raise ValueError(f"layer sizes must be >= 1, got {layers}")
+    sizes = ",".join(str(n) for n in layers)
     for x, y in zip(xs, ys):
         if x.shape[1] != layers[0] or y.shape[1] != layers[-1]:
-            raise LayerSizeError("layer sizes do not match the data dimensions")
+            raise LayerSizeError(f"layer sizes {sizes} do not fit the data's "
+                                 f"{x.shape[1]} inputs and {y.shape[1]} outputs")
     k = len(xs)
     count = k * sum(a * b + b for a, b in zip(layers, layers[1:]))
     if count > MAX_WEIGHTS:
-        sizes = ",".join(str(n) for n in layers)
         raise LayerSizeError(f"{k} x ({sizes}) networks need {count} weights and "
                              f"thresholds, over the limit of {MAX_WEIGHTS}")
 

@@ -24,6 +24,22 @@ def run(args):
     return main(args)
 
 
+def verb_process(argv, cwd, redirect="", stdout=subprocess.PIPE):
+    """``gaitforge ARGV`` as a ``python -m gaitforge.cli`` process in ``cwd``,
+    through the process entry :func:`gaitforge.cli.run`, with stderr (and
+    stdout, unless given) captured as text. A shell ``redirect`` such as
+    ``">&-"`` applies to the process. ``PYTHONUNBUFFERED`` is unset, so
+    stdout to a pipe is buffered until the verb ends, as by default."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "gaitforge.cli", *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    return subprocess.run(command, cwd=cwd, env=env, stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+
+
 # ---------------------------------------------------------------------------
 # gen-gait
 # ---------------------------------------------------------------------------
@@ -720,8 +736,8 @@ def test_mlp_layers_that_do_not_fit_the_data_exit_2(argv, layers, tmp_path, caps
     monkeypatch.chdir(tmp_path)
     data = fixture_path("synthetic_gait_features.csv")
     assert run([a.format(data=data) for a in argv] + ["--layers", layers]) == 2
-    assert capsys.readouterr().err == \
-        "error: --layers: layer sizes do not match the data dimensions\n"
+    assert capsys.readouterr().err == (f"error: --layers: layer sizes {layers} do not fit "
+                                       "the data's 6 inputs and 4 outputs\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -732,13 +748,8 @@ def test_cv_on_a_saturating_column_prints_no_warning(tmp_path):
         f"{i % 2 + 0.1 * i:.6f},{i % 2:.6f},{0.5 * (i % 2):.6f},{800 + i:.6f},{'ab'[i % 2]}"
         for i in range(20)]
     (tmp_path / "loge.csv").write_text("\n".join(rows) + "\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "gaitforge.cli", "cv", "--data", "loge.csv", "--method", "mlp",
-         "--epochs", "2", "--folds", "2"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    done = verb_process(["cv", "--data", "loge.csv", "--method", "mlp", "--epochs", "2",
+                         "--folds", "2"], tmp_path)
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("fold accuracies: ")
@@ -916,3 +927,53 @@ def test_verbs_are_deterministic(tmp_path):
     for name in ("t.tsv", "t.tsv.report.json", "b.csv", "cv.json", "p.json"):
         assert (tmp_path / "one" / name).read_bytes() == \
             (tmp_path / "two" / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# process entry: cli.run flushes stdout and stderr, then ends with os._exit
+# ---------------------------------------------------------------------------
+
+def test_verb_process_with_stdout_closed_exits_0_and_writes_its_files(tmp_path):
+    # with fd 1 closed at start sys.stdout is None: the verb's print and the
+    # entry's flush both skip it
+    assert run(["gen-gait", "--out", str(tmp_path / "in-process.tsv")]) == 0
+    done = verb_process(["gen-gait", "--out", "process.tsv"], tmp_path, redirect=">&-",
+                        stdout=None)
+    assert (done.returncode, done.stderr) == (0, "")
+    for suffix in ("", ".report.json"):
+        assert (tmp_path / f"process.tsv{suffix}").read_bytes() == \
+            (tmp_path / f"in-process.tsv{suffix}").read_bytes()
+
+
+def test_verb_process_on_a_broken_pipe_reports_it_as_python_does(tmp_path):
+    # the verdict waits in stdout's buffer; its flush meets a pipe with no
+    # reader, and the process ends as Python's own exit does: status 120 and
+    # the flush error reported once
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = verb_process(["push", "--force", "5", "--dir", "left"], tmp_path,
+                            stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 120
+    first, *rest = done.stderr.splitlines()
+    assert first.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>' ")
+    assert rest == ["BrokenPipeError: [Errno 32] Broken pipe"]
+
+
+def test_verb_process_help_exits_0_with_usage(tmp_path):
+    done = verb_process(["--help"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: ")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["push", "--force", "5", "--dir", "left"], 0),
+    (["push", "--force", "5", "--dir", "up"], 2),
+], ids=["ok", "bad-input"])
+def test_verb_process_prints_and_exits_as_main_returns(argv, status, tmp_path, capsys):
+    assert run(argv) == status
+    printed = capsys.readouterr()
+    done = verb_process(argv, tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (status, printed.out, printed.err)

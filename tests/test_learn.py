@@ -216,7 +216,7 @@ def test_dataset_training_and_dimension_checks():
                           epochs=150, seed=2)
     preds = [mlp_classify(model, x) for x in data.features]
     assert np.mean(np.array(preds) == data.labels) > 0.9
-    with pytest.raises(LayerSizeError, match="do not match the data dimensions"):
+    with pytest.raises(LayerSizeError, match="2,6,3 do not fit the data's 2 inputs and 2 outputs"):
         mlp_trainer((2, 6, 3), eta=0.3, epochs=1)(data)
     with pytest.raises(ValueError):
         mlp_predict(model, np.zeros(5))
@@ -286,7 +286,9 @@ def test_weight_limit_is_checked_before_any_weight_exists():
 @pytest.mark.parametrize("layers", [(5, 8, 4), (6, 8, 3)], ids=["input", "output"])
 def test_layer_sizes_that_do_not_fit_the_data_raise_layer_size_error(layers):
     x, y = np.zeros((2, 6)), np.zeros((2, 4))
-    with pytest.raises(LayerSizeError, match="layer sizes do not match the data dimensions"):
+    sizes = ",".join(map(str, layers))
+    message = f"^layer sizes {sizes} do not fit the data's 6 inputs and 4 outputs$"
+    with pytest.raises(LayerSizeError, match=message):
         mlp_train_lockstep([x, x], [y, y], layers, eta=0.5, epochs=1)
 
 
