@@ -8,9 +8,11 @@ unknown option or verb) exits with status 2 and a one-line ``error:``
 message, line-numbered where one applies, and no usage text; ``--help``
 still prints usage. Every bad input is one ``ValueError``, or the
 ``OSError`` of an input that cannot be opened, and :func:`main` prints it as
-that one line; a library fault whose message cannot name its source gets
-the option or file put in front, so every ``--layers`` fault names
-``--layers`` and every ``ingest`` data fault names the file.
+that one line, to stderr only: where stderr is closed or cannot be
+written, the line is lost and the status is still 2. A library fault whose
+message cannot name its source gets the option or file put in front, so
+every ``--layers`` fault names ``--layers`` and every ``ingest`` data fault
+names the file.
 An option whose ``type=`` checks its value is checked as
 it is parsed, so the first such bad option on the command line is reported.
 The library checks the rest when the verb runs, in the verb's own order:
@@ -42,7 +44,7 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import TYPE_CHECKING, NoReturn
 
 from .fixtures import fixture_path
@@ -228,18 +230,14 @@ def cmd_ingest(args) -> int:
             ys = capture.smooth_cubic_spline(ys, knot_stride=args.knot_stride)
         if args.ik == "alg1":
             theta1, theta2 = (s.values for s in capture.ik_alg1_batch(xs, ys, geom))
-    if args.ik == "exact":
-        # outside the block: each fault names its data row after the file
-        pairs = []
-        for i, (x, y) in enumerate(zip(xs.values, ys.values)):
-            try:
-                pairs.append(
-                    capture.ik_two_link(float(x), float(y), geom, elbow=args.elbow)
-                )
-            except capture.UnreachableError as exc:
-                raise ValueError(f"{args.infile}: data row {i + 1}: {exc}") from exc
-        theta1 = np.array([p[0] for p in pairs])
-        theta2 = np.array([p[1] for p in pairs])
+        else:
+            pairs = []
+            for i, (x, y) in enumerate(zip(xs.values, ys.values)):
+                try:
+                    pairs.append(capture.ik_two_link(float(x), float(y), geom, elbow=args.elbow))
+                except capture.UnreachableError as exc:
+                    raise ValueError(f"data row {i + 1}: {exc}") from exc
+            theta1, theta2 = np.array(pairs).T
     t = xs.times
     capture.write_joint_angle_csv(
         args.out, t, np.degrees(theta1), np.degrees(theta2)
@@ -313,13 +311,16 @@ def cmd_classify(args) -> int:
     if test.features.shape[1] != train.features.shape[1]:
         raise ValueError(f"{args.test}: {test.features.shape[1]} feature columns, "
                          f"but {args.train} has {train.features.shape[1]}")
-    # align test labels onto the training class order
-    mapping = {name: i for i, name in enumerate(train.class_names)}
-    try:
-        relabeled = np.array([mapping[test.class_names[l]] for l in test.labels])
-    except KeyError as exc:
-        raise ValueError(f"{args.test}: class {exc} is not in {args.train}") from exc
-    test = learn.Dataset(test.features, relabeled, train.class_names)
+    # the two files must hold the same classes; test labels are then put in
+    # the training class order
+    extra = [name for name in test.class_names if name not in train.class_names]
+    if extra:
+        raise ValueError(f"{args.test}: class {extra[0]!r} is not in {args.train}")
+    absent = [name for name in train.class_names if name not in test.class_names]
+    if absent:
+        raise ValueError(f"{args.test}: no rows of class {absent[0]!r}, which {args.train} has")
+    order = np.array([train.class_names.index(name) for name in test.class_names])
+    test = learn.Dataset(test.features, order[test.labels], train.class_names)
     with _blame("--layers", learn.LayerSizeError):
         predict = trainer(train)
     preds = predict(test.features)
@@ -546,8 +547,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # ValueError is every bad input, the library's subclasses included
         # (LayerSizeError, StratificationError, UnreachableError, ...);
-        # OSError a path that cannot be opened, such as a directory
-        print(f"error: {exc}", file=sys.stderr)
+        # OSError a path that cannot be opened, such as a directory. A stderr
+        # closed at start is None, and print would write to stdout instead;
+        # one that cannot be written changes neither the output nor the status
+        if sys.stderr is not None:
+            with suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
@@ -555,15 +560,19 @@ def run() -> NoReturn:
     """The process entry point: :func:`main`, then flush ``sys.stdout`` and
     ``sys.stderr`` (either may be ``None`` where the stream was closed at
     start) and end with ``os._exit``, skipping the interpreter's teardown,
-    which writes nothing. If a flush fails, ``sys.exit`` ends the process as
-    it would without this, so a failed write is reported as before."""
+    which writes nothing. If stdout's flush fails, ``sys.exit`` ends the
+    process as it would without this, so a failed write is reported as
+    before. A stderr that cannot be written has nowhere to report to: its
+    fault is ignored, as :func:`main` ignores it, and the status stays."""
     code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:
         sys.exit(code)
+    if sys.stderr is not None:
+        with suppress(OSError):
+            sys.stderr.flush()
     os._exit(code)
 
 

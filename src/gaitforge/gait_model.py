@@ -8,10 +8,10 @@ This module evaluates those fields, stitches them into full-cycle
 trajectories, checks tabulated joint-angle ranges, builds phase portraits,
 and fits new fields from captured samples.
 
-Generation and the range check run on the standard library: a trajectory
-and a range report are ``array`` columns of plain floats, so ``gen-gait``
-starts without numpy. Only the phase portrait, the fitting functions and
-:func:`eval_vector_field` on an array import numpy, when they are called.
+Generation, field evaluation and the range check run on the standard
+library: a trajectory and a range report are ``array`` columns of plain
+floats, so ``gen-gait`` starts without numpy. Only the phase portrait and
+the fitting functions import numpy, when they are called.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ if TYPE_CHECKING:
 
 CYCLE_LENGTH = 1.6
 
-# Guard thresholds: the coordinate where each phase hands over to the next.
-GUARD_BOUNDARIES = (0.5, 0.733, 0.9833, 1.1167, 1.2667, 1.4333, 1.600)
-
-# Alternate preset: phase ends as fractions of the cycle.
-PERCENT_FRACTIONS = (0.10, 0.30, 0.50, 0.60, 0.73, 0.87, 1.00)
+# The phase-end coordinates of each named schedule, as (name, boundaries)
+# pairs: "guard", the default, holds the guard-map thresholds where each
+# phase hands over to the next; "percent" fixed fractions of the cycle.
+SCHEDULE_PRESETS = (
+    ("guard", (0.5, 0.733, 0.9833, 1.1167, 1.2667, 1.4333, 1.600)),
+    ("percent", tuple(CYCLE_LENGTH * f for f in (0.10, 0.30, 0.50, 0.60, 0.73, 0.87, 1.00))),
+)
 
 DEFAULT_TC = 0.0167
 
@@ -102,25 +104,12 @@ class PhaseSchedule(FrozenRecord):
         return lo, self.boundaries[int(phase)]
 
     @classmethod
-    def guard(cls) -> "PhaseSchedule":
-        """Default preset: the guard-map thresholds."""
-        return cls(GUARD_BOUNDARIES)
-
-    @classmethod
-    def percent(cls) -> "PhaseSchedule":
-        """Alternate preset: fixed per-phase percentages of the cycle length."""
-        return cls(tuple(CYCLE_LENGTH * f for f in PERCENT_FRACTIONS))
-
-    @classmethod
     def preset(cls, name: str) -> "PhaseSchedule":
-        if name == "guard":
-            return cls.guard()
-        if name == "percent":
-            return cls.percent()
-        raise ValueError(f"unknown schedule preset {name!r}")
+        """The schedule named ``name`` in SCHEDULE_PRESETS."""
+        return cls(dict(SCHEDULE_PRESETS)[name])
 
 
-def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
+def phase_of(x: float, schedule: PhaseSchedule = PhaseSchedule.preset("guard")) -> GaitPhase:
     """The gait phase of one cycle coordinate.
 
     Guards are strict, so a coordinate sitting exactly on a boundary belongs
@@ -128,7 +117,6 @@ def phase_of(x: float, schedule: PhaseSchedule | None = None) -> GaitPhase:
     around (the stride repeats). A negative or non-finite coordinate raises
     ValueError.
     """
-    schedule = schedule or PhaseSchedule.guard()
     x = float(x)
     # bisect would place NaN past the last boundary, so check first
     if not (math.isfinite(x) and x >= 0.0):
@@ -183,15 +171,9 @@ def eval_vector_field(vf: PolynomialVectorField, x):
     """Evaluate a field by Horner's scheme, plus the error offset, with the
     float operations generation uses (:func:`_grid_values`).
 
-    A number gives a float; an array or sequence gives a numpy array, each
-    element evaluated with the same float operations.
+    A float gives a float; a numpy float array gives an array of the same
+    shape, each element evaluated with the same float operations.
     """
-    if isinstance(x, (int, float)):
-        x = float(x)
-    else:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
     return next(_grid_values(vf, (x,)))
 
 
@@ -218,8 +200,8 @@ class GaitModelConfig(FrozenRecord):
 
     __slots__ = ("tc", "schedule")
 
-    def __init__(self, tc: float = DEFAULT_TC, schedule: PhaseSchedule | None = None):
-        schedule = schedule or PhaseSchedule.guard()
+    def __init__(self, tc: float = DEFAULT_TC,
+                 schedule: PhaseSchedule = PhaseSchedule.preset("guard")):
         if not (math.isfinite(tc) and tc > 0.0):
             raise ValueError(f"tc must be finite and strictly positive, got {tc}")
         # n_samples > MAX_SAMPLES exactly when x_max / tc >= MAX_SAMPLES; the
@@ -270,23 +252,19 @@ class FieldBank:
     def from_dict(cls, doc: Mapping) -> "FieldBank":
         """Build from ``{joint: {phase: {"coeffs", "error"}}}``, where
         ``coeffs`` is a list of numbers and ``error`` a number, each finite
-        (:func:`~gaitforge.tables.number`); a document of another shape
-        raises ValueError. Other keys of a field, such as the ``interval``
-        the bundled bank transcribes, are not read: the phase schedule
-        decides where a field applies."""
-        if not isinstance(doc, Mapping):
-            raise ValueError("expected an object keyed by joint")
+        (:func:`~gaitforge.tables.number`). A bad number or a missing key
+        raises ValueError naming the field; a document of another shape
+        raises what its conversion meets, such as an ``AttributeError`` for
+        a list where an object belongs, as :func:`~gaitforge.tables.read_table`
+        expects. Other keys of a field, such as the ``interval`` the bundled
+        bank transcribes, are not read: the phase schedule decides where a
+        field applies."""
         fields: dict[str, dict[str, PolynomialVectorField]] = {}
         for jkey, phases in doc.items():
-            if not isinstance(phases, Mapping):
-                raise ValueError(f"{jkey}: expected an object keyed by phase")
             fields[jkey] = {}
             for pkey, spec in phases.items():
                 try:
-                    coeffs = spec["coeffs"]
-                    if not isinstance(coeffs, list):
-                        raise ValueError("coeffs must be a list of numbers")
-                    fields[jkey][pkey] = PolynomialVectorField(map(number, coeffs),
+                    fields[jkey][pkey] = PolynomialVectorField(map(number, spec["coeffs"]),
                                                                number(spec["error"]))
                 except KeyError as exc:
                     raise ValueError(f"field ({jkey}, {pkey}) has no {exc}") from None

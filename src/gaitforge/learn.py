@@ -46,8 +46,12 @@ class Dataset(Record):
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
-        """Feature columns and a final ``label``; classes in order of first use."""
+        """Feature columns and a final ``label``; classes in order of first
+        use. A file with no feature column raises ``ValueError("{path}: line
+        1: ...")``."""
         values, names = read_csv(path, ("label",), labelled=True)
+        if not values:
+            raise ValueError(f"{path}: line 1: expected at least one feature column before 'label'")
         class_names = tuple(dict.fromkeys(names))
         return cls(np.array(values).reshape(len(names), -1),
                    [class_names.index(n) for n in names], class_names)
@@ -331,12 +335,8 @@ def cv_aggregate(fold_accuracies: Sequence[float]) -> tuple[float, float, float]
     """Mean, variance (n-1 denominator) and standard deviation of per-fold
     accuracy estimates."""
     e = np.asarray(fold_accuracies, dtype=float)
-    mean = float(e.sum() / len(e))
-    if len(e) > 1:
-        var = float(np.sum((e - mean) ** 2) / (len(e) - 1))
-    else:
-        var = 0.0
-    return mean, var, math.sqrt(var)
+    var = float(e.var(ddof=1)) if len(e) > 1 else 0.0
+    return float(e.mean()), var, math.sqrt(var)
 
 
 def kfold_indices(labels, folds: int, seed: int = 42) -> list[np.ndarray]:

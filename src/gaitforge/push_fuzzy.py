@@ -60,11 +60,27 @@ class NoDecision(ValueError):
     """Every reaction degree is zero; no rule fires."""
 
 
+def direction_degrees(direction: Direction | Mapping[Direction, float]) -> dict[Direction, float]:
+    """The degree of each direction: a crisp direction is degree 1 for
+    itself and 0 for the rest; a mapping gives its own degrees, each in
+    [0, 1] or ValueError, and 0 for a direction it leaves out."""
+    if isinstance(direction, Direction):
+        direction = {direction: 1.0}
+    degrees = {d: 0.0 for d in Direction}
+    for d, v in direction.items():
+        d = Direction(d)
+        if not 0.0 <= v <= 1.0:
+            raise ValueError("direction degrees must lie in [0, 1]")
+        degrees[d] = float(v)
+    return degrees
+
+
 class ForceInput(FrozenRecord):
     """A push: magnitude in Newtons plus a crisp direction.
 
     A mapping of per-direction degrees in [0, 1] is accepted instead of a
-    crisp direction, e.g. to describe a diagonal push exciting both axes.
+    crisp direction, e.g. to describe a diagonal push exciting both axes;
+    :func:`direction_degrees` checks it here.
     """
 
     __slots__ = ("magnitude", "direction")
@@ -73,18 +89,8 @@ class ForceInput(FrozenRecord):
                  direction: Direction | Mapping[Direction, float]):
         if not (math.isfinite(magnitude) and magnitude >= 0.0):
             raise ValueError("force magnitude must be finite and >= 0")
+        direction_degrees(direction)
         self._set(magnitude, direction)
-
-    def direction_degrees(self) -> dict[Direction, float]:
-        if isinstance(self.direction, Direction):
-            return {d: 1.0 if d == self.direction else 0.0 for d in Direction}
-        degrees = {d: 0.0 for d in Direction}
-        for d, v in self.direction.items():
-            d = Direction(d) if not isinstance(d, Direction) else d
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("direction degrees must lie in [0, 1]")
-            degrees[d] = float(v)
-        return degrees
 
 
 class ReactionMembership(FrozenRecord):
@@ -217,7 +223,7 @@ def fis1_infer(force_degrees: Mapping[str, float],
     aggregate with max. A crisp direction is degree 1 for itself, 0 for the
     rest.
     """
-    dd = ForceInput(0.0, direction).direction_degrees()
+    dd = direction_degrees(direction)
     roll_dir = max(dd[Direction.LEFT], dd[Direction.RIGHT])
     pitch_dir = max(dd[Direction.FORWARD], dd[Direction.BACKWARD])
     out = {key: 0.0 for key in REACTION_KEYS}
@@ -237,10 +243,9 @@ def fis2_infer(reaction: ReactionMembership) -> PushResponse:
     small roll), otherwise no two-sided rule could fire. Ties at the argmax
     resolve to the lower-severity strategy.
     """
-    degrees = reaction.as_dict()
-    if all(v == 0.0 for v in degrees.values()):
+    eff = reaction.as_dict()
+    if all(v == 0.0 for v in eff.values()):
         raise NoDecision("all reaction degrees are zero")
-    eff = dict(degrees)
     if all(eff[k] == 0.0 for k in ROLL_KEYS):
         eff["small_roll"] = 1.0
     if all(eff[k] == 0.0 for k in PITCH_KEYS):

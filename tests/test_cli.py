@@ -279,6 +279,8 @@ def write_bad_inputs(work):
     (work / "huge_t.csv").write_text("t,x,y,z\n-1e308,6,2,0\n1e308,6,2,0\n1e308,6,2,0\n")
     # too short to smooth
     (work / "short.csv").write_text("t,x,y,z\n0.0,6,2,0\n0.01,6,2,0\n")
+    # a dataset without a feature column
+    (work / "labels.csv").write_text("label\na\nb\n")
 
 
 DATA = str(fixture_path("synthetic_gait_features.csv"))
@@ -315,6 +317,11 @@ DATA = str(fixture_path("synthetic_gait_features.csv"))
     *((["ingest", "--in", "short.csv", "--smooth", smooth],
       "short.csv: need at least 3 samples to smooth\n")
       for smooth in ("spline", "moving-average")),
+    *((argv, "labels.csv: line 1: expected at least one feature column before 'label'\n")
+      for argv in (["classify", "--train", "labels.csv", "--test", DATA],
+                   ["classify", "--train", DATA, "--test", "labels.csv"],
+                   ["cv", "--data", "labels.csv"],
+                   ["cv", "--data", "labels.csv", "--method", "mlp"])),
 ])
 def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsys, monkeypatch):
     write_bad_inputs(tmp_path)
@@ -326,6 +333,19 @@ def test_bad_input_file_exits_2_and_writes_nothing(argv, prefix, tmp_path, capsy
     assert err.startswith("error: " + prefix) and err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("name, message", [
+    ("list.json", "'list' object has no attribute 'items'"),
+    ("flat.json", "'int' object has no attribute 'items'"),
+    ("text_coeffs.json", "field (left_knee, MST): expected a finite number, got '1'"),
+])
+def test_bank_of_another_shape_reports_what_its_conversion_meets(name, message, tmp_path,
+                                                                 capsys, monkeypatch):
+    write_bad_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run(["gen-gait", "--model-bank", name, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"error: {name}: malformed model bank: {message}\n"
 
 
 PATH_OPTIONS_BY_VERB = {
@@ -665,14 +685,16 @@ def test_ingest_unreachable_point_named_by_data_row(tmp_path, capsys):
     assert not out.exists()
 
 
+def write_accelerometer_csv(path, n):
+    t = np.arange(n) * 0.01
+    rows = ["t,x,y,z"] + [f"{a:.4f},{6 + np.sin(5 * a):.6f},{2 + 0.5 * np.cos(5 * a):.6f},0.0"
+                          for a in t]
+    path.write_text("\n".join(rows) + "\n")
+
+
 def test_ingest_exact_ik_with_smoothing_options(tmp_path):
     acc = tmp_path / "acc.csv"
-    t = np.arange(30) * 0.01
-    rows = ["t,x,y,z"] + [
-        f"{a:.4f},{6 + np.sin(5 * a):.6f},{2 + 0.5 * np.cos(5 * a):.6f},0.0"
-        for a in t
-    ]
-    acc.write_text("\n".join(rows) + "\n")
+    write_accelerometer_csv(acc, 30)
     out = tmp_path / "angles.csv"
     assert run(["ingest", "--in", str(acc), "--out", str(out), "--ik", "exact",
                 "--elbow", "up", "--smooth", "spline", "--knot-stride", "3"]) == 0
@@ -680,6 +702,30 @@ def test_ingest_exact_ik_with_smoothing_options(tmp_path):
     assert len(lines) == 31
     # elbow-up keeps the knee angle non-positive
     assert all(float(line.split(",")[2]) <= 1e-9 for line in lines[1:])
+
+
+def test_ingest_zero_correct_writes_what_the_library_pipeline_gives(tmp_path):
+    acc, out, lib = tmp_path / "acc.csv", tmp_path / "angles.csv", tmp_path / "lib.csv"
+    write_accelerometer_csv(acc, 40)
+    assert run(["ingest", "--in", str(acc), "--out", str(out), "--zero-correct"]) == 0
+    series = capture.load_accelerometer_csv(acc)
+    xs, ys = capture.zero_correct(series["x"]), capture.zero_correct(series["y"])
+    theta1, theta2 = capture.ik_alg1_batch(xs, ys, capture.TwoLinkGeometry(l1=5.0, l2=4.0))
+    capture.write_joint_angle_csv(lib, xs.times, np.degrees(theta1.values),
+                                  np.degrees(theta2.values))
+    assert out.read_bytes() == lib.read_bytes()
+
+
+def test_ingest_zero_correct_exact_ik_names_the_file_and_data_row(tmp_path, capsys):
+    # zero correction moves the first sample onto the origin, inside the
+    # default links' inner reach
+    acc, out = tmp_path / "acc.csv", tmp_path / "angles.csv"
+    write_accelerometer_csv(acc, 40)
+    assert run(["ingest", "--in", str(acc), "--out", str(out), "--zero-correct",
+                "--ik", "exact"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {acc}: data row 1: point (0.0, 0.0) outside reach [1.0, 9.0]\n"
+    assert not out.exists()
 
 
 def test_features_too_short_series_exits_2(tmp_path, capsys):
@@ -780,7 +826,8 @@ def test_cv_writes_an_infinite_anova_f_as_null(tmp_path):
 @pytest.mark.parametrize("test_csv, message", [
     ("f0,f1,f2,label\n0.0,1.0,2.0,a\n", "te.csv: 3 feature columns, but tr.csv has 2\n"),
     ("f0,f1,label\n0.0,1.0,x\n", "te.csv: class 'x' is not in tr.csv\n"),
-], ids=["width", "class"])
+    ("f0,f1,label\n0.0,1.0,a\n", "te.csv: no rows of class 'b', which tr.csv has\n"),
+], ids=["width", "class", "absent"])
 def test_classify_names_the_test_file_that_does_not_fit(
         method, test_csv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -943,6 +990,17 @@ def test_verb_process_with_stdout_closed_exits_0_and_writes_its_files(tmp_path):
     for suffix in ("", ".report.json"):
         assert (tmp_path / f"process.tsv{suffix}").read_bytes() == \
             (tmp_path / f"in-process.tsv{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2<readonly.txt"], ids=["closed", "read-only"])
+def test_verb_process_with_stderr_unwritable_exits_2_and_prints_nothing(redirect, tmp_path):
+    # with fd 2 closed at start sys.stderr is None, where print would write
+    # to stdout; with fd 2 open read-only the write fails, and the line it
+    # leaves in stderr's buffer fails again at the entry's flush
+    (tmp_path / "readonly.txt").write_text("")
+    done = verb_process(["push", "--force", "5", "--dir", "up"], tmp_path, redirect=redirect)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "")
+    assert (tmp_path / "readonly.txt").read_text() == ""
 
 
 def test_verb_process_on_a_broken_pipe_reports_it_as_python_does(tmp_path):

@@ -57,7 +57,7 @@ def test_phase_examples():
 
 
 def test_boundaries_belong_to_earlier_phase():
-    sched = PhaseSchedule.guard()
+    sched = PhaseSchedule.preset("guard")
     for phase in GaitPhase:
         b = sched.boundaries[int(phase)]
         assert phase_of(b, sched) == phase
@@ -98,7 +98,7 @@ def test_phase_ordinal_monotone_over_one_cycle(a, b):
 
 
 def test_percent_preset():
-    sched = PhaseSchedule.percent()
+    sched = PhaseSchedule.preset("percent")
     expected = [1.6 * f for f in (0.10, 0.30, 0.50, 0.60, 0.73, 0.87, 1.00)]
     assert sched.boundaries == pytest.approx(expected, abs=1e-15)
 
@@ -247,7 +247,7 @@ def test_bank_interval_column_is_the_guard_schedule_and_is_not_read():
     # a field applies, so a bank without the column, or with a reversed
     # interval, gives the same cycle
     doc = read_json(gm.fixture_path("tables_5_1_to_5_6.json"))
-    guard = PhaseSchedule.guard()
+    guard = PhaseSchedule.preset("guard")
     intervals = [(tuple(spec["interval"]), guard.interval(GaitPhase[pkey]))
                  for phases in doc.values() for pkey, spec in phases.items()]
     assert len(intervals) == 42
@@ -309,7 +309,7 @@ def test_config_rejects_bad_tc(tc):
 
 def test_config_sample_limit():
     # only configs are built here, so no grid is ever allocated
-    x_max = PhaseSchedule.guard().x_max
+    x_max = PhaseSchedule.preset("guard").x_max
     assert GaitModelConfig(tc=x_max / (MAX_SAMPLES - 2)).n_samples <= MAX_SAMPLES
     for tc in (x_max / (MAX_SAMPLES + 1), 1e-9, 5e-324):
         with pytest.raises(ValueError, match="samples per cycle"):

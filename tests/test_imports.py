@@ -243,7 +243,7 @@ def test_numpy_verbs_load_openblas_with_a_short_idle_spin(preset, seen, tmp_path
 # records: what the dataclasses they replaced did
 # ---------------------------------------------------------------------------
 
-GUARD = gait_model.PhaseSchedule.guard()
+GUARD = gait_model.PhaseSchedule.preset("guard")
 FIELD = gait_model.PolynomialVectorField((1.0, 2.0, 3.0), 0.5)
 REACTION = push_fuzzy.ReactionMembership(small_roll=1.0)
 
@@ -261,7 +261,7 @@ FROZEN = {
                                                     {"ankle": 1.0}),
     "RangeCheckOutcome": lambda: push_fuzzy.RangeCheckOutcome("pass", "b1",
                                                               push_fuzzy.Strategy.HIP),
-    "PhaseSchedule": lambda: gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES),
+    "PhaseSchedule": lambda: gait_model.PhaseSchedule(GUARD.boundaries),
     "PolynomialVectorField": lambda: gait_model.PolynomialVectorField([1, 2, 3], 0.5),
     "GaitModelConfig": lambda: gait_model.GaitModelConfig(tc=0.01),
     "BoundaryGap": lambda: gait_model.BoundaryGap(0.5, gait_model.GaitPhase.LR,
@@ -328,11 +328,11 @@ def test_records_of_different_values_or_types_differ():
     assert rocking_block.BlockParams(0.3) != rocking_block.BlockParams(0.3, r=0.9)
     assert gait_model.GaitModelConfig(tc=0.01) != gait_model.GaitModelConfig(tc=0.02)
     assert gait_model.GaitModelConfig() != gait_model.GaitModelConfig(
-        schedule=gait_model.PhaseSchedule.percent())
+        schedule=gait_model.PhaseSchedule.preset("percent"))
     assert push_fuzzy.ReactionMembership() != push_fuzzy.ReactionMembership(large_pitch=0.5)
     # a one-field record is not its field, nor another record holding it
     assert gait_ca.CAState(5) != 5
-    assert gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES) != gait_model.GUARD_BOUNDARIES
+    assert gait_model.PhaseSchedule(GUARD.boundaries) != GUARD.boundaries
 
 
 @pytest.mark.parametrize("record, text", [
@@ -378,7 +378,7 @@ def test_checked_records_keep_their_checks():
     with pytest.raises(ValueError, match=r"large_pitch degree 2 outside \[0, 1\]"):
         push_fuzzy.ReactionMembership(large_pitch=2)
     with pytest.raises(ValueError, match="expected 7 boundaries, got 6"):
-        gait_model.PhaseSchedule(gait_model.GUARD_BOUNDARIES[:-1])
+        gait_model.PhaseSchedule(GUARD.boundaries[:-1])
     with pytest.raises(ValueError, match="coefficients and error offset must be finite"):
         gait_model.PolynomialVectorField((1.0, 2.0, 3.0), math.inf)
     with pytest.raises(ValueError, match="tc must be finite and strictly positive, got 0.0"):

@@ -285,4 +285,4 @@ def test_membership_validation():
     with pytest.raises(ValueError):
         ForceInput(-1.0, Direction.LEFT)
     with pytest.raises(ValueError):
-        ForceInput(2.0, {Direction.LEFT: 1.5}).direction_degrees()
+        ForceInput(2.0, {Direction.LEFT: 1.5})
