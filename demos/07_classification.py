@@ -11,7 +11,7 @@ from gaitforge.learn import (
     Dataset, anova_single_factor, biometric_metrics, confusion_and_accuracy,
     kfold_cv, kmeans, knn_classify, knn_trainer, mlp_trainer,
 )
-from gaitforge.fixtures import fixture_path
+from gaitforge.tables import fixture_path
 
 data = Dataset.from_csv(fixture_path("synthetic_gait_features.csv"))
 print(f"dataset: {len(data)} rows, {data.features.shape[1]} features, "

@@ -84,7 +84,7 @@ class UnreachableError(ValueError):
 _REACH_SLACK = 1e-9
 
 
-def ik_two_link(x: float, y: float, geom: TwoLinkGeometry | None = None,
+def ik_two_link(x: float, y: float, geom: TwoLinkGeometry = TwoLinkGeometry(),
                 elbow: str = "down") -> tuple[float, float]:
     """Joint angles (radians) reaching the point (x, y).
 
@@ -93,7 +93,6 @@ def ik_two_link(x: float, y: float, geom: TwoLinkGeometry | None = None,
     cosine is clamped into [-1, 1] so points within 1e-9 of the workspace
     boundary still resolve.
     """
-    geom = geom or TwoLinkGeometry()
     l1, l2 = geom.l1, geom.l2
     rho = math.hypot(x, y)
     if rho < abs(l1 - l2) - _REACH_SLACK or rho > l1 + l2 + _REACH_SLACK:
@@ -115,9 +114,8 @@ def ik_two_link(x: float, y: float, geom: TwoLinkGeometry | None = None,
 
 
 def fk_two_link(theta1: float, theta2: float,
-                geom: TwoLinkGeometry | None = None):
+                geom: TwoLinkGeometry = TwoLinkGeometry()):
     """Forward kinematics: returns (elbow point, tip point)."""
-    geom = geom or TwoLinkGeometry()
     ex = geom.l1 * math.cos(theta1)
     ey = geom.l1 * math.sin(theta1)
     tx = ex + geom.l2 * math.cos(theta1 + theta2)
@@ -130,7 +128,7 @@ class DegenerateNormalizationError(ValueError):
 
 
 def ik_alg1_batch(xs: TimeSeries, ys: TimeSeries,
-                  geom: TwoLinkGeometry | None = None) -> tuple[TimeSeries, TimeSeries]:
+                  geom: TwoLinkGeometry = TwoLinkGeometry()) -> tuple[TimeSeries, TimeSeries]:
     """Batch accelerometer-to-joint-angle conversion.
 
     Transcribes the capture pipeline's routine, including its nonstandard
@@ -139,7 +137,6 @@ def ik_alg1_batch(xs: TimeSeries, ys: TimeSeries,
     :func:`ik_two_link` for that reason; the two agree exactly when the
     batch maximum is 1.
     """
-    geom = geom or TwoLinkGeometry()
     if len(xs) != len(ys):
         raise ValueError("coordinate series must have equal length")
     if len(xs) == 0:

@@ -32,7 +32,8 @@ closed before :func:`main` returns, as each writer's ``with`` block does.
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
-without ``inspect``, ``pathlib`` or ``importlib.resources`` either; the
+without ``inspect``, ``pathlib`` or ``importlib.resources`` either, and
+``ca-predict`` without ``typing``, which this module does not import; the
 rest load numpy, and report a missing input before they do. No verb needs
 scipy, and none loads ``dataclasses``.
 """
@@ -45,13 +46,8 @@ import os
 import re
 import sys
 from contextlib import contextmanager, suppress
-from typing import TYPE_CHECKING, NoReturn
 
-from .fixtures import fixture_path
-from .tables import json_text, read_table, write_json, write_rows
-
-if TYPE_CHECKING:
-    from . import gait_model
+from .tables import fixture_path, json_text, read_table, write_json, write_rows
 
 
 def _open_inputs(*paths) -> None:
@@ -135,7 +131,7 @@ def _field(text: str) -> str:
     return text
 
 
-def _load_bank(path: str | None) -> gait_model.FieldBank:
+def _load_bank(path: str | None):
     from . import gait_model
 
     if path is None:
@@ -144,7 +140,7 @@ def _load_bank(path: str | None) -> gait_model.FieldBank:
     return read_table(path, "model bank", gait_model.FieldBank.from_dict)
 
 
-def _gait_config(args) -> gait_model.GaitModelConfig:
+def _gait_config(args):
     from . import gait_model
 
     schedule = gait_model.PhaseSchedule.preset(args.schedule)
@@ -160,8 +156,8 @@ def _gait_config(args) -> gait_model.GaitModelConfig:
 def cmd_gen_gait(args) -> int:
     from . import gait_model
 
-    bank = _load_bank(args.model_bank)
     config = _gait_config(args)
+    bank = _load_bank(args.model_bank)
     traj = gait_model.generate_gait_cycle(bank, config, cross_fade=args.cross_fade)
     validation = gait_model.validate_ranges(traj)
     traj.write_tsv(args.out)
@@ -556,7 +552,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def run() -> NoReturn:
+def run():
     """The process entry point: :func:`main`, then flush ``sys.stdout`` and
     ``sys.stderr`` (either may be ``None`` where the stream was closed at
     start) and end with ``os._exit``, skipping the interpreter's teardown,

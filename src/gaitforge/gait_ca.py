@@ -13,9 +13,8 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import lru_cache
 
-from .fixtures import fixture_path
 from .records import FrozenRecord
-from .tables import read_table
+from .tables import fixture_path, read_table
 
 # Longest sequence predict_sequence builds; its states hold about 88 bytes each.
 MAX_STEPS = 1_000_000

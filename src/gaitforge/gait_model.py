@@ -23,9 +23,8 @@ from bisect import bisect_left, bisect_right
 from enum import IntEnum
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .fixtures import fixture_path
 from .records import FrozenRecord, Record
-from .tables import ColumnRows, number, read_table, write_rows
+from .tables import ColumnRows, fixture_path, number, read_table, write_rows
 
 if TYPE_CHECKING:
     import numpy as np
@@ -315,7 +314,7 @@ class JointTrajectorySet(Record):
 
 def generate_gait_cycle(
     bank: FieldBank,
-    config: GaitModelConfig | None = None,
+    config: GaitModelConfig = GaitModelConfig(),
     cross_fade: bool = False,
 ) -> JointTrajectorySet:
     """Sample all six joints over one full cycle.
@@ -326,7 +325,6 @@ def generate_gait_cycle(
     linearly over +-2 samples around each interior boundary, which bounds the
     jerk if the trajectory is to be executed.
     """
-    config = config or GaitModelConfig()
     schedule = config.schedule
     tc = config.tc
     grid = array("d", [i * tc for i in range(config.n_samples)])

@@ -18,9 +18,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .fixtures import fixture_path
 from .records import FrozenRecord
-from .tables import number, read_table
+from .tables import fixture_path, number, read_table
 
 
 class Direction(Enum):
@@ -62,12 +61,13 @@ class NoDecision(ValueError):
 
 def direction_degrees(direction: Direction | Mapping[Direction, float]) -> dict[Direction, float]:
     """The degree of each direction: a crisp direction is degree 1 for
-    itself and 0 for the rest; a mapping gives its own degrees, each in
-    [0, 1] or ValueError, and 0 for a direction it leaves out."""
+    itself and 0 for the rest; a mapping, or the (direction, degree) pairs
+    ``dict`` reads as one, gives its own degrees, each in [0, 1] or
+    ValueError, and 0 for a direction it leaves out."""
     if isinstance(direction, Direction):
         direction = {direction: 1.0}
     degrees = {d: 0.0 for d in Direction}
-    for d, v in direction.items():
+    for d, v in dict(direction).items():
         d = Direction(d)
         if not 0.0 <= v <= 1.0:
             raise ValueError("direction degrees must lie in [0, 1]")
@@ -80,7 +80,9 @@ class ForceInput(FrozenRecord):
 
     A mapping of per-direction degrees in [0, 1] is accepted instead of a
     crisp direction, e.g. to describe a diagonal push exciting both axes;
-    :func:`direction_degrees` checks it here.
+    :func:`direction_degrees` checks it here, and the push keeps the degrees
+    it returns as a tuple of (direction, degree) pairs, so that a later
+    change to the mapping changes no push and the push stays hashable.
     """
 
     __slots__ = ("magnitude", "direction")
@@ -89,7 +91,9 @@ class ForceInput(FrozenRecord):
                  direction: Direction | Mapping[Direction, float]):
         if not (math.isfinite(magnitude) and magnitude >= 0.0):
             raise ValueError("force magnitude must be finite and >= 0")
-        direction_degrees(direction)
+        degrees = direction_degrees(direction)
+        if not isinstance(direction, Direction):
+            direction = tuple(degrees.items())
         self._set(magnitude, direction)
 
 

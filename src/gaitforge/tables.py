@@ -1,22 +1,36 @@
-"""The file formats of every verb: one CSV reader, one JSON reader, one row
-writer (CSV and TSV) and one JSON writer. The two readers are the only code
-that reads an input file, user's or fixture, and report its faults alike,
-as ``ValueError("{path}: line N: ...")``. The CSV reader reads unquoted
-comma-separated text in one pass, a block of whole lines at a time split
-with ``str.split``, and walks a block line by line only to name its first
-fault. :func:`read_table` is the one loader of a JSON table, bundled or
-given: it converts the document once into the typed form its readers use,
-and names the file behind any shape fault the conversion meets;
-:func:`number` is the conversion of one JSON number. Numbers go out with
-six decimal places and text fields unquoted. :class:`ColumnRows` reads
-columnar results back as records. Only the standard library is used, so the
-verbs that load no numpy can use it too.
+"""The files of every verb: where the bundled tables are, one CSV reader,
+one JSON reader, one row writer (CSV and TSV) and one JSON writer.
+
+The bundled tables (the model bank, the joint-angle ranges, the CA and push
+rules and the synthetic dataset) are the single source of truth for both
+the runtime and the test suite. :func:`fixture_path` finds them in the data
+directory ``fixtures`` next to this module, so the package must be installed
+as files, not imported from a zip. ``GAITFORGE_FIXTURES`` names a directory
+with replacement files instead: it is the only way to give the program other
+tables without editing the installed package, and so the way tests and CI
+check that a malformed table exits 2 with one line naming the file.
+
+The two readers are the only code that reads an input file, user's or
+bundled, and report its faults alike, as ``ValueError("{path}: line N:
+...")``. The CSV reader reads unquoted comma-separated text in one pass, a
+block of whole lines at a time split with ``str.split``. One line grammar,
+:func:`_convert_block`'s, serves the conversion and the fault report: a
+block it refuses is walked line by line, and the first line it refuses on
+its own is named. :func:`read_table`
+is the one loader of a JSON table, bundled or given: it converts the
+document once into the typed form its readers use, and names the file behind
+any shape fault the conversion meets; :func:`number` is the conversion of
+one JSON number. Numbers go out with six decimal places and text fields
+unquoted. :class:`ColumnRows` reads columnar results back as records. Only
+the standard library is used, so the verbs that load no numpy can use it
+too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Sequence
 
@@ -25,6 +39,18 @@ _FIELD_LIMIT = 131_072
 # Characters the CSV reader converts at a time. A block is whole lines, so
 # one no longer than _FIELD_LIMIT cannot hold an oversized field.
 _BLOCK_CHARS = 1 << 16
+
+
+def fixture_dir() -> str:
+    return (os.environ.get("GAITFORGE_FIXTURES")
+            or os.path.join(os.path.dirname(__file__), "fixtures"))
+
+
+def fixture_path(name: str) -> str:
+    path = os.path.join(fixture_dir(), name)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"fixture {name!r} not found in {os.path.dirname(path)}")
+    return path
 
 
 def read_csv(path, header: Sequence[str],
@@ -164,28 +190,25 @@ def _convert_block(block: str, width: int,
 
 def _first_fault(path, lines: list[str], lineno: int, width: int,
                  labelled: bool) -> ValueError:
-    """The fault of the first faulty line of ``lines``, which are numbered
-    from ``lineno`` and should have ``width`` fields."""
-    numeric = width - 1 if labelled else width
+    """The fault of the first line of ``lines`` that :func:`_convert_block`
+    refuses; the lines are numbered from ``lineno`` and should have
+    ``width`` fields."""
     for n, line in enumerate(lines, lineno):
-        fields = line.split(",") if line else []
+        if _convert_block(line, width, labelled) is not None:
+            continue
+        fields = line.split(",")
         if '"' in line:
             problem = "quoted fields are not supported"
-        elif max(map(len, fields), default=0) > _FIELD_LIMIT:
+        elif max(map(len, fields)) > _FIELD_LIMIT:
             problem = f"field larger than field limit ({_FIELD_LIMIT})"
         elif len(fields) != width:
-            if not line.replace(",", "").strip():
-                continue
             problem = f"expected {width} fields, got {len(fields)}"
         else:
             try:
-                numbers = list(map(float, fields[:numeric]))
+                list(map(float, fields[:width - 1] if labelled else fields))
+                problem = f"non-finite value in {line!r}"
             except ValueError:
                 problem = f"non-numeric field in {line!r}"
-            else:
-                if all(map(math.isfinite, numbers)):
-                    continue
-                problem = f"non-finite value in {line!r}"
         return ValueError(f"{path}: line {n}: {problem}")
 
 

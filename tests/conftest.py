@@ -1,9 +1,22 @@
+import os
 import shutil
 import sys
+from pathlib import Path
 
 import pytest
 
-from gaitforge.fixtures import fixture_dir
+from gaitforge.tables import fixture_dir
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env(env=None) -> dict:
+    """A copy of ``env`` (by default this process's environment) whose
+    ``PYTHONPATH`` starts with this checkout's ``src``, so that a Python
+    subprocess imports the package under test."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def check_read_only_sequence(view, items):
@@ -48,7 +61,7 @@ def bundled_tables(tmp_path, monkeypatch):
     tables are dropped before and after, so the test reads the copy and
     later tests the originals."""
     fixtures = tmp_path / "fx"
-    shutil.copytree(fixture_dir(), fixtures, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
+    shutil.copytree(fixture_dir(), fixtures)
     monkeypatch.setenv("GAITFORGE_FIXTURES", str(fixtures))
     _clear_table_caches()
     yield fixtures

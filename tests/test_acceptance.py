@@ -17,7 +17,6 @@ from gaitforge import capture, gait_model as gm
 from gaitforge.features import (
     count_extrema, count_zero_crossings, emd_decompose, envelope_mean,
 )
-from gaitforge.fixtures import fixture_path
 from gaitforge.gait_ca import CAState, next_state
 from gaitforge.learn import (
     Dataset, ConfusionMatrix, accuracy_from_counts, anova_from_summary,
@@ -30,6 +29,7 @@ from gaitforge.push_fuzzy import (
     recover,
 )
 from gaitforge.rocking_block import BlockParams, BlockState, Mode, simulate, step, energy
+from gaitforge.tables import fixture_path
 from gaitforge.cli import main as cli_main
 
 

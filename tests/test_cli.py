@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from gaitforge.cli import build_parser, main
 from gaitforge import capture, features, gait_ca
 from gaitforge import gait_model as gm
-from gaitforge.fixtures import fixture_dir, fixture_path
-from gaitforge.tables import write_rows
+from gaitforge.tables import fixture_dir, fixture_path, write_rows
+
+from conftest import src_env
 
 
 def run(args):
@@ -30,9 +31,7 @@ def verb_process(argv, cwd, redirect="", stdout=subprocess.PIPE):
     stdout, unless given) captured as text. A shell ``redirect`` such as
     ``">&-"`` applies to the process. ``PYTHONUNBUFFERED`` is unset, so
     stdout to a pipe is buffered until the verb ends, as by default."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env = src_env({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"})
     command = [sys.executable, "-m", "gaitforge.cli", *argv]
     if redirect:
         command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
@@ -395,6 +394,8 @@ def test_empty_path_exits_2_before_any_io(verb, option, tmp_path, capsys, monkey
     (["features", "--in", "never.csv", "--out", "f.csv", "--bins", "0"], "--bins"),
     (["features", "--in", "never.csv", "--out", "f.csv",
       "--bins", str(features.MAX_BINS + 1)], "--bins"),
+    (["gen-gait", "--model-bank", "never.json", "--tc", "0", "--out", "c.tsv"], "--tc"),
+    (["plot-data", "--model-bank", "never.json", "--tc", "0", "--out-dir", "plots"], "--tc"),
 ])
 def test_option_a_method_ignores_is_still_checked_before_reading(
         argv, option, tmp_path, capsys, monkeypatch):

@@ -26,6 +26,8 @@ import pytest
 
 from gaitforge import cli
 
+from conftest import src_env
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED_1 = os.path.join(ROOT, "perfbench", "digests.json")
 SEEDS_2_3 = os.path.join(ROOT, "tests", "digests_seeds_2_3.json")
@@ -50,10 +52,7 @@ def in_process(argv: list[str]) -> int:
 
 
 def as_process(argv: list[str]) -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gaitforge.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", "gaitforge.cli", *argv], env=src_env(),
                           stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, timeout=120).returncode
 

@@ -11,7 +11,7 @@ through the package's own reader. Started without ``site`` (``python -S``), thos
 four verbs load neither ``pathlib`` nor ``importlib.resources`` (nor the
 ``zipfile`` and ``tempfile`` it brings), and on CPython 3.11 they load
 nothing beyond an allow-list of modules, so that any new start-up import
-fails a test. A missing input file is reported
+fails a test; ``ca-predict``'s list holds no ``typing``. A missing input file is reported
 before numpy loads. A verb that loads numpy loads it with
 ``OPENBLAS_THREAD_TIMEOUT`` set, to 4 unless the caller set it.
 
@@ -39,7 +39,7 @@ import pytest
 
 from gaitforge import capture, features, gait_ca, gait_model, learn, push_fuzzy, rocking_block
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import src_env
 
 PROBE = """
 import json, sys
@@ -56,8 +56,7 @@ def probe_result(argv, cwd, probe=PROBE, env=None, rc=0, flags=()):
     """The probe's JSON line after ``cli.main(argv)`` returned ``rc``, with
     the interpreter's stderr under "stderr"; ``flags`` go to the
     interpreter."""
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = src_env(env)
     done = subprocess.run([sys.executable, *flags, "-c", probe, json.dumps(argv)], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -181,14 +180,16 @@ def test_verb_runs_without_pathlib_or_importlib_resources(argv, tmp_path):
 # Every module a numpy-free verb may load under -S beyond those the probe has
 # loaded before it imports the CLI (json and what json needs), for CPython
 # 3.11: argparse brings gettext and locale, and shutil (with bz2, lzma, zlib
-# and fnmatch) for the terminal width; typing is cli's and push_fuzzy's
+# and fnmatch) for the terminal width. typing is no verb's by default: push
+# loads it for push_fuzzy, simulate-block for rocking_block and gen-gait for
+# gait_model, so ca-predict starts without it
 START_UP_MODULES = {
-    "__future__", "_bz2", "_compression", "_locale", "_lzma", "_stat", "_typing", "argparse",
-    "bz2", "collections.abc", "contextlib", "errno", "fnmatch", "gaitforge", "gaitforge.cli",
-    "gaitforge.fixtures", "gaitforge.records", "gaitforge.tables", "genericpath", "gettext",
-    "locale", "lzma", "math", "os", "os.path", "posixpath", "shutil", "stat", "typing",
-    "typing.io", "typing.re", "warnings", "zlib",
+    "__future__", "_bz2", "_compression", "_locale", "_lzma", "_stat", "argparse", "bz2",
+    "collections.abc", "contextlib", "errno", "fnmatch", "gaitforge", "gaitforge.cli",
+    "gaitforge.records", "gaitforge.tables", "genericpath", "gettext", "locale", "lzma",
+    "math", "os", "os.path", "posixpath", "shutil", "stat", "warnings", "zlib",
 }
+TYPING = {"_typing", "typing", "typing.io", "typing.re"}
 START_UP_PROBE = """
 import json, sys
 before = set(sys.modules)
@@ -203,11 +204,12 @@ print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - before)}))
     reason=f"start-up module lists are pinned for CPython 3.11, not "
            f"{sys.implementation.name} {sys.version.split()[0]}")
 @pytest.mark.parametrize("argv, own", [
-    (["push", "--force", "5", "--dir", "left"], {"gaitforge.push_fuzzy"}),
+    (["push", "--force", "5", "--dir", "left"], {"gaitforge.push_fuzzy", *TYPING}),
     (["ca-predict", "--init", "0101", "--n", "4"], {"gaitforge.gait_ca"}),
     (["simulate-block", "--t-end", "1", "--out", "trace.csv"],
-     {"array", "gaitforge.rocking_block"}),
-    (["gen-gait", "--out", "cycle.tsv"], {"_bisect", "array", "bisect", "gaitforge.gait_model"}),
+     {"array", "gaitforge.rocking_block", *TYPING}),
+    (["gen-gait", "--out", "cycle.tsv"],
+     {"_bisect", "array", "bisect", "gaitforge.gait_model", *TYPING}),
 ], ids=["push", "ca-predict", "simulate-block", "gen-gait"])
 def test_verb_loads_only_its_allowed_start_up_modules(argv, own, tmp_path):
     loaded = loaded_after(argv, tmp_path, START_UP_PROBE, flags=["-S"])

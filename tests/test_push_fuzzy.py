@@ -11,6 +11,7 @@ from gaitforge.push_fuzzy import (
     ReactionMembership,
     RecoveryImpossible,
     Strategy,
+    direction_degrees,
     fis1_infer,
     fis2_infer,
     fuzzify_force,
@@ -149,6 +150,17 @@ def test_recover_examples():
     assert recover(ForceInput(10.0, Direction.LEFT)).strategy == Strategy.HIP
     with pytest.raises(RecoveryImpossible):
         recover(ForceInput(13.0, Direction.FORWARD))
+
+
+def test_push_keeps_its_direction_degrees_not_the_callers_mapping():
+    degrees = {Direction.LEFT: 0.5}
+    push = ForceInput(2.0, degrees)
+    degrees[Direction.LEFT] = 7.0
+    assert recover(push) == recover(ForceInput(2.0, {Direction.LEFT: 0.5}))
+    assert hash(push) == hash(ForceInput(2.0, {Direction.LEFT: 0.5}))
+    assert direction_degrees(push.direction) == {
+        Direction.LEFT: 0.5, Direction.RIGHT: 0.0,
+        Direction.FORWARD: 0.0, Direction.BACKWARD: 0.0}
 
 
 def test_recover_state_flag():
