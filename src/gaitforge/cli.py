@@ -227,17 +227,12 @@ def cmd_ingest(args) -> int:
         if args.ik == "alg1":
             theta1, theta2 = (s.values for s in capture.ik_alg1_batch(xs, ys, geom))
         else:
-            pairs = []
-            for i, (x, y) in enumerate(zip(xs.values, ys.values)):
-                try:
-                    pairs.append(capture.ik_two_link(float(x), float(y), geom, elbow=args.elbow))
-                except capture.UnreachableError as exc:
-                    raise ValueError(f"data row {i + 1}: {exc}") from exc
-            theta1, theta2 = np.array(pairs).T
+            try:
+                theta1, theta2 = capture.ik_two_link(xs.values, ys.values, geom, elbow=args.elbow)
+            except capture.UnreachableError as exc:
+                raise ValueError(f"data row {exc.index + 1}: {exc}") from exc
     t = xs.times
-    capture.write_joint_angle_csv(
-        args.out, t, np.degrees(theta1), np.degrees(theta2)
-    )
+    capture.write_joint_angle_csv(args.out, t, np.degrees(theta1), np.degrees(theta2))
     print(f"wrote {len(t)} joint-angle rows to {args.out}")
     return 0
 
@@ -393,15 +388,13 @@ def cmd_plot_data(args) -> int:
     # stick-figure frames from hip/knee angles via forward kinematics
     geom = capture.TwoLinkGeometry(l1=gait_model.LINK_LENGTH, l2=gait_model.LINK_LENGTH)
     for side in ("left", "right"):
-        hips = np.radians(traj.angles[f"{side}_hip"])
-        knees = np.radians(traj.angles[f"{side}_knee"])
-        points = []
-        for i in range(0, len(traj), args.frame_stride):
-            # hang the leg from the hip: 0 degrees points straight down
-            t1 = hips[i] - np.pi / 2.0
-            elbow, tip = capture.fk_two_link(float(t1), float(knees[i]), geom)
-            points += [(0.0, 0.0), elbow, tip]
-        outputs.append((f"stick_{side}.csv", "x,y", "%.6f,%.6f", points))
+        hips = np.radians(traj.angles[f"{side}_hip"])[::args.frame_stride]
+        knees = np.radians(traj.angles[f"{side}_knee"])[::args.frame_stride]
+        # hang the leg from the hip: 0 degrees points straight down
+        (ex, ey), (tx, ty) = capture.fk_two_link(hips - np.pi / 2.0, knees, geom)
+        # three points a frame: the hip at the origin, then knee and foot
+        frames = np.pad(np.stack([ex, ey, tx, ty], axis=1), ((0, 0), (2, 0)))
+        outputs.append((f"stick_{side}.csv", "x,y", "%.6f,%.6f", frames.reshape(-1, 2).tolist()))
 
     # box-plot statistics of each trajectory IMF
     stats = []

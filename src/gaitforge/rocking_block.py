@@ -154,8 +154,12 @@ def _rk4(left: bool, x1: float, x2: float, h: float, alpha: float,
 
 def step(state: BlockState, params: BlockParams) -> BlockState:
     """Advance one RK4 step of ``params.dt``; the mode never changes here."""
-    nx1, nx2 = _rk4(state.mode == Mode.LEFT, state.x1, state.x2, params.dt,
-                    params.alpha, params.restoring_sign)
+    try:
+        nx1, nx2 = _rk4(state.mode == Mode.LEFT, state.x1, state.x2, params.dt,
+                        params.alpha, params.restoring_sign)
+    except ValueError:
+        # a stage overflowed to inf, and math.sin raised before the check
+        nx1 = nx2 = math.inf
     if not (isfinite(nx1) and isfinite(nx2)):
         raise DivergenceError(f"non-finite state at t={state.t + params.dt}")
     return BlockState(mode=state.mode, x1=nx1, x2=nx2, t=state.t + params.dt)
@@ -198,10 +202,11 @@ def simulate(init: BlockState, params: BlockParams, t_end: float) -> BlockTrace:
     velocity scaled by r, mode flipped. The trace records every integrator
     state plus the post-impact states; impacts carry pre and post velocity.
     Simulation stops early with status ``"at_rest"`` once the post-impact
-    speed drops below 1e-12, and raises :class:`ZenoError` past
-    :data:`MAX_IMPACTS` impacts. A non-finite initial state, a ``t_end``
-    that is negative or not finite, and a run of more than
-    :data:`MAX_STATES` steps raise ``ValueError`` before the first step.
+    speed drops below 1e-12. It raises :class:`ZenoError` past
+    :data:`MAX_IMPACTS` impacts, and :class:`DivergenceError` at the first
+    state that is not finite. A non-finite initial state, a ``t_end`` that is
+    negative or not finite, and a run of more than :data:`MAX_STATES` steps
+    raise ``ValueError`` before the first step.
     """
     if not all(map(isfinite, (init.x1, init.x2, init.t))):
         raise ValueError(f"initial state must be finite, got {init}")
@@ -222,38 +227,43 @@ def simulate(init: BlockState, params: BlockParams, t_end: float) -> BlockTrace:
                                        trace.x1.append, trace.x2.append)
     impacts = trace.impacts
     t_stop = t_end - 1e-15
-    while t < t_stop:
-        nx1, nx2 = rk4(left, x1, x2, dt, alpha, restoring)
-        if not (isfinite(nx1) and isfinite(nx2)):
-            raise DivergenceError(f"non-finite state at t={t + dt}")
-        # a crossing leaves the mode's domain within this step; comparing
-        # against the pre-state keeps a grazing pass from re-triggering
-        if left:
-            crossed = x1 <= _EVENT_TOL and nx1 > _EVENT_TOL
-        else:
-            crossed = x1 >= -_EVENT_TOL and nx1 < -_EVENT_TOL
-        # guard also wants the matching velocity sign at the crossing
-        if crossed:
-            h, cx1, cx2 = _locate_crossing(left, x1, x2, dt, alpha, restoring)
-            if (cx2 >= 0.0) if left else (cx2 <= 0.0):
-                t += h
-                post = r * cx2
-                impacts.append(ImpactEvent(t=t, pre_velocity=cx2, post_velocity=post))
-                if len(impacts) > MAX_IMPACTS:
-                    raise ZenoError(f"more than {MAX_IMPACTS} impacts")
-                left, x1, x2 = not left, cx1, post
-                add_t(t)
-                add_mode(not left)
-                add_x1(x1)
-                add_x2(x2)
-                if abs(post) < _REST_TOL:
-                    trace.status = "at_rest"
-                    return trace
-                continue
-        t += dt
-        x1, x2 = nx1, nx2
-        add_t(t)
-        add_mode(not left)
-        add_x1(x1)
-        add_x2(x2)
+    try:
+        while t < t_stop:
+            nx1, nx2 = rk4(left, x1, x2, dt, alpha, restoring)
+            if not (isfinite(nx1) and isfinite(nx2)):
+                raise DivergenceError(f"non-finite state at t={t + dt}")
+            # a crossing leaves the mode's domain within this step; comparing
+            # against the pre-state keeps a grazing pass from re-triggering
+            if left:
+                crossed = x1 <= _EVENT_TOL and nx1 > _EVENT_TOL
+            else:
+                crossed = x1 >= -_EVENT_TOL and nx1 < -_EVENT_TOL
+            # guard also wants the matching velocity sign at the crossing
+            if crossed:
+                h, cx1, cx2 = _locate_crossing(left, x1, x2, dt, alpha, restoring)
+                if (cx2 >= 0.0) if left else (cx2 <= 0.0):
+                    t += h
+                    post = r * cx2
+                    impacts.append(ImpactEvent(t=t, pre_velocity=cx2, post_velocity=post))
+                    if len(impacts) > MAX_IMPACTS:
+                        raise ZenoError(f"more than {MAX_IMPACTS} impacts")
+                    left, x1, x2 = not left, cx1, post
+                    add_t(t)
+                    add_mode(not left)
+                    add_x1(x1)
+                    add_x2(x2)
+                    if abs(post) < _REST_TOL:
+                        trace.status = "at_rest"
+                        return trace
+                    continue
+            t += dt
+            x1, x2 = nx1, nx2
+            add_t(t)
+            add_mode(not left)
+            add_x1(x1)
+            add_x2(x2)
+    except ValueError:
+        # a stage of this step or of its crossing bisection overflowed to
+        # inf, and math.sin raised before the finite check saw it
+        raise DivergenceError(f"non-finite state at t={t + dt}") from None
     return trace

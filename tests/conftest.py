@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 import sys
@@ -17,6 +18,28 @@ def src_env(env=None) -> dict:
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
+
+
+def ik_point(x: float, y: float, l1: float, l2: float, elbow: str):
+    """Two-link joint angles (theta1, theta2) reaching one point, written out
+    with :mod:`math`: the reference that ``capture.ik_two_link`` must equal
+    bit for bit. None for a point more than 1e-9 outside the reach."""
+    rho = math.hypot(x, y)
+    if rho < abs(l1 - l2) - 1e-9 or rho > l1 + l2 + 1e-9:
+        return None
+    c = (x * x + y * y - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+    c = min(1.0, max(-1.0, c))
+    s = math.sqrt(1.0 - c * c)
+    if elbow == "up":
+        s = -s
+    return math.atan2(y, x) - math.atan2(l2 * s, l1 + l2 * c), math.atan2(s, c)
+
+
+def fk_point(theta1: float, theta2: float, l1: float, l2: float):
+    """The (elbow, tip) points of one pair of joint angles, written out with
+    :mod:`math`: the reference for ``capture.fk_two_link``."""
+    ex, ey = l1 * math.cos(theta1), l1 * math.sin(theta1)
+    return (ex, ey), (ex + l2 * math.cos(theta1 + theta2), ey + l2 * math.sin(theta1 + theta2))
 
 
 def check_read_only_sequence(view, items):

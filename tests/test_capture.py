@@ -25,6 +25,8 @@ from gaitforge.capture import (
     zero_correct,
 )
 
+from conftest import fk_point, ik_point
+
 
 # ---------------------------------------------------------------------------
 # digital-count conversions
@@ -130,6 +132,84 @@ def test_boundary_point_within_slack_resolves():
     assert t2 == pytest.approx(0.0, abs=1e-4)
 
 
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+@st.composite
+def reach_points(draw):
+    """A geometry, an elbow and points spread over its reach or within 2e-9
+    of either reach circle, where the clamp acts or the point is out of reach."""
+    l1, l2 = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    lo, hi = abs(l1 - l2), l1 + l2
+    rho = st.one_of(st.floats(lo, hi),
+                    st.tuples(st.sampled_from([lo, hi]), st.floats(-2e-9, 2e-9)).map(sum))
+    polar = st.tuples(rho, st.floats(-math.pi, math.pi))
+    points = draw(st.lists(polar, min_size=1, max_size=30))
+    xy = [(r * math.cos(phi), r * math.sin(phi)) for r, phi in points]
+    return TwoLinkGeometry(l1, l2), draw(st.sampled_from(["down", "up"])), xy
+
+
+@given(reach_points())
+def test_ik_arrays_equal_the_per_point_formula_bit_for_bit(case):
+    geom, elbow, xy = case
+    refs = [ik_point(x, y, geom.l1, geom.l2, elbow) for x, y in xy]
+    xs, ys = (np.array(column) for column in zip(*xy))
+    if None in refs:
+        # the first point out of reach is the one named
+        i = refs.index(None)
+        with pytest.raises(UnreachableError) as err:
+            ik_two_link(xs, ys, geom, elbow)
+        assert err.value.index == i
+        assert str(err.value) == (f"point ({xy[i][0]}, {xy[i][1]}) outside reach "
+                                  f"[{abs(geom.l1 - geom.l2)}, {geom.l1 + geom.l2}]")
+    else:
+        theta1, theta2 = ik_two_link(xs, ys, geom, elbow)
+        assert bits(theta1) == bits([r[0] for r in refs])
+        assert bits(theta2) == bits([r[1] for r in refs])
+    # a float is a 0-d array, and its angles come back as numpy floats
+    if refs[0] is None:
+        with pytest.raises(UnreachableError):
+            ik_two_link(*xy[0], geom, elbow)
+    else:
+        angles = ik_two_link(*xy[0], geom, elbow)
+        assert all(type(a) is np.float64 for a in angles)
+        assert bits(angles) == bits(refs[0])
+
+
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0),
+       st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                min_size=1, max_size=30))
+def test_fk_arrays_equal_the_per_point_formula_bit_for_bit(l1, l2, angles):
+    geom = TwoLinkGeometry(l1, l2)
+    refs = [fk_point(t1, t2, l1, l2) for t1, t2 in angles]
+    t1, t2 = (np.array(column) for column in zip(*angles))
+    (ex, ey), (tx, ty) = fk_two_link(t1, t2, geom)
+    assert bits(np.stack([ex, ey, tx, ty], axis=1)) == bits([sum(r, ()) for r in refs])
+    points = fk_two_link(*angles[0], geom)
+    assert all(type(v) is np.float64 for point in points for v in point)
+    assert bits(points) == bits(refs[0])
+
+
+def test_ik_batch_clamps_at_the_circles_and_names_the_first_unreachable_point():
+    geom = TwoLinkGeometry()
+    # 9 + 5e-10 and 1 - 5e-10 are within the slack, where the cosine is clamped
+    xs = np.array([6.0, 9.0 + 5e-10, 1.0 - 5e-10, 20.0, 0.0])
+    ys = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
+    theta1, theta2 = ik_two_link(xs[:3], ys[:3], geom)
+    assert bits(theta2) == bits([ik_point(6.0, 2.0, 5.0, 4.0, "down")[1], 0.0, math.pi])
+    with pytest.raises(UnreachableError) as err:
+        ik_two_link(xs, ys, geom)
+    assert err.value.index == 3
+    assert str(err.value) == "point (20.0, 0.0) outside reach [1.0, 9.0]"
+
+
+def test_bad_elbow_is_refused_before_the_reach_check():
+    with pytest.raises(ValueError, match="elbow must be 'up' or 'down'") as err:
+        ik_two_link(100.0, 0.0, TwoLinkGeometry(), elbow="sideways")
+    assert not isinstance(err.value, UnreachableError)
+
+
 # ---------------------------------------------------------------------------
 # batch routine with max-normalization
 # ---------------------------------------------------------------------------
@@ -159,6 +239,22 @@ def test_agrees_with_exact_ik_when_batch_max_is_one():
         e1, e2 = ik_two_link(float(x), float(y), geom)
         assert t1.values[i] == e1
         assert t2.values[i] == e2
+
+
+def test_agrees_with_exact_ik_to_two_ulp_of_pi_on_a_random_batch():
+    # 20,000 points spread over the reach, and one at full extension so that
+    # the batch maximum is 1; only np.arctan2 against libm's atan2 differs
+    geom = TwoLinkGeometry()
+    rng = np.random.default_rng(7)
+    rho = np.sqrt(rng.uniform(1.0, 81.0, 20_000))
+    phi = rng.uniform(-math.pi, math.pi, 20_000)
+    xs = np.append(rho * np.cos(phi), 9.0)
+    ys = np.append(rho * np.sin(phi), 0.0)
+    t1, t2 = ik_alg1_batch(TimeSeries(xs), TimeSeries(ys), geom)
+    e1, e2 = ik_two_link(xs, ys, geom)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(t1.values - e1)) <= 4.0 * eps
+    assert np.max(np.abs(t2.values - e2)) <= 2.0 * eps
 
 
 def test_degenerate_normalization():

@@ -204,6 +204,14 @@ def test_simulate_block_non_finite_or_oversized_exits_2_before_stepping(
     assert not out.exists()
 
 
+def test_simulate_block_stage_overflow_is_a_failed_simulation(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert run(["simulate-block", "--dt", "1e300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: simulation failed: non-finite state at t=1e+300\n"
+    assert not out.exists()
+
+
 def test_simulate_block_steps_through_rk4(tmp_path, monkeypatch):
     # the control for the test above: a valid run does reach the patched _rk4
     from gaitforge import rocking_block

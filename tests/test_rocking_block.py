@@ -98,6 +98,16 @@ def test_divergent_state_raises():
         step(BlockState(Mode.LEFT, float("nan"), 0.0), params)
 
 
+def test_stage_overflow_raises_divergence_not_a_math_domain_error():
+    # at dt = 1e300 an RK4 stage overflows to inf, where math.sin raises
+    # ValueError before the finite check runs
+    params = BlockParams(alpha=0.3, dt=1e300)
+    with pytest.raises(DivergenceError, match=r"^non-finite state at t=1e\+300$"):
+        step(BlockState(Mode.LEFT, -0.5, 0.0), params)
+    with pytest.raises(DivergenceError, match=r"^non-finite state at t=1e\+300$"):
+        simulate(BlockState(Mode.LEFT, -0.5, 0.0), params, 10.0)
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         BlockParams(alpha=0.0)

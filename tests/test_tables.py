@@ -21,6 +21,8 @@ from gaitforge.cli import main
 from gaitforge.rocking_block import BlockParams, BlockState, Mode, simulate
 from gaitforge.tables import read_csv, write_json
 
+from conftest import fk_point
+
 # ---------------------------------------------------------------------------
 # readers
 # ---------------------------------------------------------------------------
@@ -312,14 +314,13 @@ def test_plot_data_bytes_match_per_value_formatting(tmp_path):
         for angle, velocity in gm.limit_cycle(traj, jkey).points:
             text += f"{angle:.6f},{velocity:.6f}\n"
         expected[f"limit_cycle_{jkey}.csv"] = text
-    geom = capture.TwoLinkGeometry(l1=gm.LINK_LENGTH, l2=gm.LINK_LENGTH)
     for side in ("left", "right"):
         hips = np.radians(traj.angles[f"{side}_hip"])
         knees = np.radians(traj.angles[f"{side}_knee"])
         text = "x,y\n"
         for i in range(0, len(traj), stride):
-            elbow, tip = capture.fk_two_link(float(hips[i] - np.pi / 2.0), float(knees[i]),
-                                             geom)
+            elbow, tip = fk_point(float(hips[i] - np.pi / 2.0), float(knees[i]),
+                                  gm.LINK_LENGTH, gm.LINK_LENGTH)
             text += "0.000000,0.000000\n"
             text += f"{elbow[0]:.6f},{elbow[1]:.6f}\n"
             text += f"{tip[0]:.6f},{tip[1]:.6f}\n"
