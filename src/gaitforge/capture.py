@@ -10,7 +10,7 @@ capture pipeline's zero correction and smoothing.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -102,17 +102,18 @@ def ik_two_link(x, y, geom: TwoLinkGeometry = TwoLinkGeometry(), elbow: str = "d
     floats. The elbow branch picks the sign of the knee angle: ``"down"``
     takes the positive root (anatomical knee flexion), ``"up"`` the negative
     one. The cosine is clamped into [-1, 1] so points within 1e-9 of the
-    workspace boundary still resolve; the first point beyond that raises
-    :class:`UnreachableError`. ``+ - * /`` and ``sqrt`` run on whole arrays
-    and ``hypot`` and ``atan2`` are libm's for each point, so every angle has
-    the bits of the per-point formula.
+    workspace boundary still resolve; the first point beyond that, or with a
+    NaN coordinate, raises :class:`UnreachableError`. ``+ - * /`` and
+    ``sqrt`` run on whole arrays and ``hypot`` and ``atan2`` are libm's for
+    each point, so every angle has the bits of the per-point formula.
     """
     if elbow not in ("up", "down"):
         raise ValueError(f"elbow must be 'up' or 'down', got {elbow!r}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     l1, l2 = geom.l1, geom.l2
     rho = _libm(math.hypot, x, y)
-    outside = (rho < abs(l1 - l2) - _REACH_SLACK) | (rho > l1 + l2 + _REACH_SLACK)
+    # "not inside", so that a NaN distance is outside too
+    outside = ~((rho >= abs(l1 - l2) - _REACH_SLACK) & (rho <= l1 + l2 + _REACH_SLACK))
     if outside.any():
         i = int(outside.argmax())
         raise UnreachableError(f"point ({float(x.flat[i])}, {float(y.flat[i])}) outside reach "

@@ -32,9 +32,9 @@ closed before :func:`main` returns, as each writer's ``with`` block does.
 Each verb imports the library modules it runs and no others, so a cheap
 verb does not pay the start-up cost of an expensive one: ``push``,
 ``ca-predict``, ``simulate-block`` and ``gen-gait`` start on bare Python,
-without ``inspect``, ``pathlib`` or ``importlib.resources`` either, and
-``ca-predict`` without ``typing``, which this module does not import; the
-rest load numpy, and report a missing input before they do. No verb needs
+without ``inspect``, ``pathlib``, ``importlib.resources`` or ``typing``
+either, since no module of the package imports ``typing``; the rest load
+numpy, and report a missing input before they do. No verb needs
 scipy, and none loads ``dataclasses``.
 """
 

@@ -10,7 +10,8 @@ statistics describe its distribution.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -23,11 +24,11 @@ SIFT_SD_TOL = 0.05           # Cauchy criterion between consecutive sifts
 LOG_ENERGY_FLOOR = 1e-300    # squared samples below this contribute log(floor)
 
 
-class IMF(NamedTuple):
-    """One intrinsic mode function, on the parent signal's grid."""
+class IMF(namedtuple("IMF", "values index")):
+    """One intrinsic mode function, on the parent signal's grid: its
+    ``values`` (an array) and its ``index`` (an int) in the decomposition."""
 
-    values: np.ndarray
-    index: int
+    __slots__ = ()
 
 
 def _as_array(signal) -> np.ndarray:
@@ -127,15 +128,12 @@ def emd_decompose(signal, max_imfs: int = 10) -> tuple[list[IMF], np.ndarray]:
     return imfs, residue
 
 
-class FeatureVector(NamedTuple):
-    """The six statistical features used for push/gait classification."""
+class FeatureVector(namedtuple("FeatureVector",
+                                "min max shannon_entropy log_energy rms zcr")):
+    """The six statistical features used for push/gait classification, each
+    a float; ``shannon_entropy`` is in bits."""
 
-    min: float
-    max: float
-    shannon_entropy: float  # bits
-    log_energy: float
-    rms: float
-    zcr: float
+    __slots__ = ()
 
 
 def shannon_entropy(values, bins: int = 16) -> float:
@@ -193,15 +191,12 @@ def feature_vector(signal, bins: int = 16) -> FeatureVector:
     )
 
 
-class BoxStats(NamedTuple):
-    """Box-plot quartile statistics with outlier fences."""
+class BoxStats(namedtuple("BoxStats", "q1 q2 q3 iqr outliers suspected_outliers")):
+    """Box-plot quartile statistics with outlier fences: the quartiles and
+    ``iqr`` are floats; ``outliers`` and ``suspected_outliers`` are tuples of
+    the sample indices beyond the 3 * IQR and the 1.5 * IQR fences."""
 
-    q1: float
-    q2: float
-    q3: float
-    iqr: float
-    outliers: tuple[int, ...]            # beyond 3 * IQR fences
-    suspected_outliers: tuple[int, ...]  # beyond 1.5 * IQR fences
+    __slots__ = ()
 
 
 def _median(sorted_vals: np.ndarray) -> float:

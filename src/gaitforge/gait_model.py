@@ -20,14 +20,12 @@ import math
 import re
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from enum import IntEnum
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .records import FrozenRecord, Record
 from .tables import ColumnRows, fixture_path, number, read_table, write_rows
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CYCLE_LENGTH = 1.6
 
@@ -278,13 +276,12 @@ class FieldBank:
         return read_table(fixture_path("tables_5_1_to_5_6.json"), "model bank", cls.from_dict)
 
 
-class BoundaryGap(NamedTuple):
-    """C0 mismatch between adjacent phase fields at one boundary."""
+class BoundaryGap(namedtuple("BoundaryGap", "x from_phase to_phase gaps")):
+    """C0 mismatch between adjacent phase fields at the boundary ``x`` (a
+    float), from one :class:`GaitPhase` to the next: ``gaps`` maps each
+    joint key to ``|f_from(x) - f_to(x)|``."""
 
-    x: float
-    from_phase: GaitPhase
-    to_phase: GaitPhase
-    gaps: Mapping[str, float]  # joint key -> |f_from(x) - f_to(x)|
+    __slots__ = ()
 
 
 class JointTrajectorySet(Record):
@@ -421,14 +418,12 @@ class RangeTable:
         return read_table(fixture_path("joint_ranges.json"), "range table", cls)
 
 
-class RangeViolation(NamedTuple):
-    phase: GaitPhase
-    joint: str
-    index: int
-    x: float
-    angle: float
-    lo: float
-    hi: float
+class RangeViolation(namedtuple("RangeViolation", "phase joint index x angle lo hi")):
+    """One sample outside its tabulated range: the :class:`GaitPhase`, the
+    joint key, the sample's ``index`` (an int) and cycle coordinate ``x``,
+    and its ``angle`` and the range ``[lo, hi]`` in degrees, as floats."""
+
+    __slots__ = ()
 
 
 def _violation(j, index, x, phase, angle, lo, hi) -> RangeViolation:
@@ -525,11 +520,12 @@ def validate_ranges(traj: JointTrajectorySet) -> ValidationReport:
 # Phase portrait / limit cycle
 # ---------------------------------------------------------------------------
 
-class LimitCycle(NamedTuple):
-    """Phase portrait of one joint: (angle, angular velocity) pairs."""
+class LimitCycle(namedtuple("LimitCycle", "points closure_gap")):
+    """Phase portrait of one joint: ``points`` is an (n, 2) array of (angle,
+    angular velocity) pairs and ``closure_gap`` the distance (a float)
+    between its first and last points."""
 
-    points: np.ndarray  # shape (n, 2)
-    closure_gap: float  # distance between first and last portrait points
+    __slots__ = ()
 
 
 def limit_cycle(traj: JointTrajectorySet, jkey: str) -> LimitCycle:

@@ -10,7 +10,8 @@ seeded and deterministic.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -324,11 +325,12 @@ class StratificationError(ValueError):
     """A class has fewer members than the fold count."""
 
 
-class CvResult(NamedTuple):
-    fold_accuracies: list[float]   # percent
-    mean: float
-    variance: float                # n-1 denominator
-    sigma: float
+class CvResult(namedtuple("CvResult", "fold_accuracies mean variance sigma")):
+    """A cross-validation run: the list of per-fold accuracies in percent,
+    and their mean, variance (n-1 denominator) and standard deviation
+    ``sigma``, as floats."""
+
+    __slots__ = ()
 
 
 def cv_aggregate(fold_accuracies: Sequence[float]) -> tuple[float, float, float]:
@@ -499,13 +501,12 @@ class UndefinedClassError(ValueError):
     """A class has no test samples, so its acceptance rate is undefined."""
 
 
-class BiometricMetrics(NamedTuple):
-    per_class_tar: np.ndarray
-    per_class_far: np.ndarray
-    per_class_frr: np.ndarray
-    tar: float   # macro averages, as fractions
-    far: float
-    frr: float
+class BiometricMetrics(namedtuple("BiometricMetrics", "per_class_tar per_class_far "
+                                                      "per_class_frr tar far frr")):
+    """TAR, FAR and FRR per class, as arrays, and their macro averages
+    ``tar``, ``far`` and ``frr``, as floats; all are fractions."""
+
+    __slots__ = ()
 
 
 def biometric_metrics(cm: ConfusionMatrix) -> BiometricMetrics:
@@ -588,15 +589,13 @@ def f_survival(d1: float, d2: float, f: float) -> float:
     return 1.0 - front * _beta_continued_fraction(b, a, w1) / b
 
 
-class AnovaResult(NamedTuple):
-    ss_between: float
-    ss_within: float
-    df_between: int
-    df_within: int
-    ms_between: float
-    ms_within: float
-    f: float
-    p: float
+class AnovaResult(namedtuple("AnovaResult", "ss_between ss_within df_between df_within "
+                                            "ms_between ms_within f p")):
+    """A one-way ANOVA table: the between- and within-group sums of squares,
+    degrees of freedom (ints) and mean squares, the statistic ``f`` and its
+    p-value ``p``; all but the degrees of freedom are floats."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         """The fields by their report names; an infinite F (groups with no

@@ -14,9 +14,10 @@ envelope and signal recovery-impossible instead of classifying as a fall.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, NamedTuple
 
 from .records import FrozenRecord
 from .tables import fixture_path, number, read_table
@@ -116,11 +117,13 @@ class ReactionMembership(FrozenRecord):
         return {key: getattr(self, key) for key in REACTION_KEYS}
 
 
-class PushResponse(NamedTuple):
-    reaction: ReactionMembership
-    strategy: Strategy
-    fell: bool                            # the fall/no-fall verdict
-    strategy_degrees: Mapping[str, float]
+class PushResponse(namedtuple("PushResponse", "reaction strategy fell strategy_degrees")):
+    """The controller's answer to one push: the :class:`ReactionMembership`,
+    the chosen :class:`Strategy`, the fall/no-fall verdict ``fell`` (a
+    bool) and ``strategy_degrees``, a mapping of each strategy's name to its
+    degree."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -324,10 +327,13 @@ def lookup_strategy(magnitude: float, reaction_description) -> Strategy:
     )
 
 
-class RangeCheckOutcome(NamedTuple):
-    status: str                      # "pass" | "mismatch" | "unmatched"
-    band: str | None = None
-    expected: Strategy | None = None
+class RangeCheckOutcome(namedtuple("RangeCheckOutcome", "status band expected",
+                                   defaults=(None, None))):
+    """``status`` is "pass", "mismatch" or "unmatched"; ``band`` is the name
+    of the matched force band and ``expected`` its :class:`Strategy`, both
+    None when no band matched."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

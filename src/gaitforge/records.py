@@ -1,16 +1,25 @@
 """Bases of every record in the package that checks its fields or stays
 mutable.
 
-A record names its fields in ``__slots__``, in constructor order, and sets
-them in ``__init__``, which holds its checks. As a dataclass would, it
-prints as ``Name(field=value, ...)`` and equals a record of its own class
-with equal fields. A :class:`FrozenRecord` also hashes by its fields and
-refuses assignment, so its ``__init__`` sets them with
-:meth:`FrozenRecord._set`. Immutable records with no checks are
-``typing.NamedTuple`` classes instead. No module uses ``dataclasses``:
-importing it (and ``inspect`` with it) and generating each class's methods
-took about a third of what the numpy-free verbs spent starting up past the
-interpreter's own start.
+One rule covers every record in the package:
+
+- A record that checks its fields or stays mutable is a :class:`Record`
+  or a :class:`FrozenRecord`.
+- An immutable record with no checks is a ``collections.namedtuple``
+  subclass, ``class X(namedtuple("X", "a b")): __slots__ = ()``, whose
+  docstring gives each field's type and meaning.
+- No module uses ``dataclasses``: importing it (and ``inspect`` with it)
+  and generating each class's methods took about a third of what the
+  numpy-free verbs spent starting up past the interpreter's own start.
+  Nor does any module import ``typing``, which ``typing.NamedTuple`` would
+  bring.
+
+A :class:`Record` names its fields in ``__slots__``, in constructor order,
+and sets them in ``__init__``, which holds its checks. As a dataclass
+would, it prints as ``Name(field=value, ...)`` and equals a record of its
+own class with equal fields. A :class:`FrozenRecord` also hashes by its
+fields and refuses assignment, so its ``__init__`` sets them with
+:meth:`FrozenRecord._set`.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from enum import Enum
 from math import isfinite, sin
-from typing import NamedTuple
 
 from .records import FrozenRecord, Record
 from .tables import ColumnRows, write_rows
@@ -56,17 +56,19 @@ class BlockParams(FrozenRecord):
         self._set(alpha, r, dt, restoring_sign)
 
 
-class BlockState(NamedTuple):
-    mode: Mode
-    x1: float
-    x2: float
-    t: float = 0.0
+class BlockState(namedtuple("BlockState", "mode x1 x2 t", defaults=(0.0,))):
+    """The support edge ``mode`` (a :class:`Mode`), the lean ``x1`` (a
+    fraction of ``alpha``) and angular velocity ``x2`` at time ``t`` in
+    seconds, as floats."""
+
+    __slots__ = ()
 
 
-class ImpactEvent(NamedTuple):
-    t: float
-    pre_velocity: float
-    post_velocity: float
+class ImpactEvent(namedtuple("ImpactEvent", "t pre_velocity post_velocity")):
+    """One impact: its time ``t`` in seconds and the angular velocity before
+    and after it, as floats."""
+
+    __slots__ = ()
 
 
 _MODES = (Mode.LEFT, Mode.RIGHT)  # a trace's mode column holds the index

@@ -258,10 +258,12 @@ def _rounded(obj):
 
 def json_text(doc) -> str:
     """``doc`` as JSON with sorted keys and one-space indents, every float
-    rounded to six places."""
-    return json.dumps(_rounded(doc), indent=1, sort_keys=True)
+    rounded to six places. A NaN or an infinity, which JSON cannot hold,
+    raises ``ValueError``."""
+    return json.dumps(_rounded(doc), indent=1, sort_keys=True, allow_nan=False)
 
 
 def write_json(path, doc) -> None:
-    """Write :func:`json_text` of ``doc`` and a newline to ``path``."""
+    """Write :func:`json_text` of ``doc`` and a newline to ``path``; a doc
+    that it refuses leaves no file."""
     write_rows(path, None, "%s", [(json_text(doc),)])

@@ -23,9 +23,10 @@ def src_env(env=None) -> dict:
 def ik_point(x: float, y: float, l1: float, l2: float, elbow: str):
     """Two-link joint angles (theta1, theta2) reaching one point, written out
     with :mod:`math`: the reference that ``capture.ik_two_link`` must equal
-    bit for bit. None for a point more than 1e-9 outside the reach."""
+    bit for bit. None for a point more than 1e-9 outside the reach, or with a
+    NaN coordinate."""
     rho = math.hypot(x, y)
-    if rho < abs(l1 - l2) - 1e-9 or rho > l1 + l2 + 1e-9:
+    if not abs(l1 - l2) - 1e-9 <= rho <= l1 + l2 + 1e-9:
         return None
     c = (x * x + y * y - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     c = min(1.0, max(-1.0, c))

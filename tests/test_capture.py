@@ -202,6 +202,14 @@ def test_ik_batch_clamps_at_the_circles_and_names_the_first_unreachable_point():
         ik_two_link(xs, ys, geom)
     assert err.value.index == 3
     assert str(err.value) == "point (20.0, 0.0) outside reach [1.0, 9.0]"
+    # a NaN coordinate is not inside the reach, though no comparison with it holds
+    for x, y, index, point in ((math.nan, 0.0, 0, "nan, 0.0"),
+                               (xs[:3], [2.0, math.nan, 0.0], 1, "9.0000000005, nan"),
+                               ([6.0, math.nan, 20.0], [2.0, math.nan, 0.0], 1, "nan, nan")):
+        with pytest.raises(UnreachableError) as err:
+            ik_two_link(x, y, geom)
+        assert err.value.index == index
+        assert str(err.value) == f"point ({point}) outside reach [1.0, 9.0]"
 
 
 def test_bad_elbow_is_refused_before_the_reach_check():

@@ -13,7 +13,6 @@ Deselect these tests with ``-m "not digests"``.
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -26,24 +25,10 @@ import pytest
 
 from gaitforge import cli
 
+from bare_digests import load_workloads, recorded
 from conftest import src_env
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEED_1 = os.path.join(ROOT, "perfbench", "digests.json")
-SEEDS_2_3 = os.path.join(ROOT, "tests", "digests_seeds_2_3.json")
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up by name
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_workloads().WORKLOADS
 
 
 def in_process(argv: list[str]) -> int:
@@ -78,21 +63,13 @@ def outputs(workload: str, seed: int, work: str, verb=in_process) -> tuple[dict,
     return digests, wrong_exit
 
 
-def _recorded(seed: int) -> dict:
-    if seed == 1:
-        with open(SEED_1, encoding="utf-8") as fh:
-            return json.load(fh)
-    with open(SEEDS_2_3, encoding="utf-8") as fh:
-        return json.load(fh)[str(seed)]
-
-
 @pytest.mark.digests
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_outputs_match_recorded_digests(workload, seed, tmp_path):
     digests, wrong_exit = outputs(workload, seed, str(tmp_path))
     assert wrong_exit == []
-    assert digests == _recorded(seed)[workload]
+    assert digests == recorded(seed)[workload]
 
 
 @pytest.mark.digests
@@ -100,7 +77,7 @@ def test_outputs_match_recorded_digests(workload, seed, tmp_path):
 def test_verb_processes_match_recorded_digests(workload, tmp_path):
     digests, wrong_exit = outputs(workload, 1, str(tmp_path), as_process)
     assert wrong_exit == []
-    assert digests == _recorded(1)[workload]
+    assert digests == recorded(1)[workload]
 
 
 if __name__ == "__main__":

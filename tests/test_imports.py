@@ -9,10 +9,10 @@ which with ``dataclasses`` took about a third of their own start-up;
 ``gaitforge.push_fuzzy``, and no verb loads ``csv``: every CSV input goes
 through the package's own reader. Started without ``site`` (``python -S``), those
 four verbs load neither ``pathlib`` nor ``importlib.resources`` (nor the
-``zipfile`` and ``tempfile`` it brings), and on CPython 3.11 they load
-nothing beyond an allow-list of modules, so that any new start-up import
-fails a test; ``ca-predict``'s list holds no ``typing``. A missing input file is reported
-before numpy loads. A verb that loads numpy loads it with
+``zipfile`` and ``tempfile`` it brings), and on CPython 3.10 to 3.13 they
+load nothing beyond an allow-list of modules, so that any new start-up
+import fails a test; no verb's list holds ``typing``. A missing input file
+is reported before numpy loads. A verb that loads numpy loads it with
 ``OPENBLAS_THREAD_TIMEOUT`` set, to 4 unless the caller set it.
 
 Every case runs in a fresh interpreter, since this test process has long
@@ -29,6 +29,7 @@ import copy
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from array import array
@@ -39,6 +40,7 @@ import pytest
 
 from gaitforge import capture, features, gait_ca, gait_model, learn, push_fuzzy, rocking_block
 
+from bare_digests import START_UP_MODULES, START_UP_PROBE, START_UP_VERBS
 from conftest import src_env
 
 PROBE = """
@@ -177,40 +179,17 @@ def test_verb_runs_without_pathlib_or_importlib_resources(argv, tmp_path):
     assert loaded_after(argv, tmp_path, probe, flags=["-S"]) == set()
 
 
-# Every module a numpy-free verb may load under -S beyond those the probe has
-# loaded before it imports the CLI (json and what json needs), for CPython
-# 3.11: argparse brings gettext and locale, and shutil (with bz2, lzma, zlib
-# and fnmatch) for the terminal width. typing is no verb's by default: push
-# loads it for push_fuzzy, simulate-block for rocking_block and gen-gait for
-# gait_model, so ca-predict starts without it
-START_UP_MODULES = {
-    "__future__", "_bz2", "_compression", "_locale", "_lzma", "_stat", "argparse", "bz2",
-    "collections.abc", "contextlib", "errno", "fnmatch", "gaitforge", "gaitforge.cli",
-    "gaitforge.records", "gaitforge.tables", "genericpath", "gettext", "locale", "lzma",
-    "math", "os", "os.path", "posixpath", "shutil", "stat", "warnings", "zlib",
-}
-TYPING = {"_typing", "typing", "typing.io", "typing.re"}
-START_UP_PROBE = """
-import json, sys
-before = set(sys.modules)
-from gaitforge import cli
-rc = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"rc": rc, "loaded": sorted(set(sys.modules) - before)}))
-"""
-
-
+# The allow-list, START_UP_MODULES and each verb's own set in START_UP_VERBS,
+# is in bare_digests.py, which also checks it under each interpreter it is
+# given. CPython 3.12 loads what 3.11 loads; 3.13 loads the same less
+# warnings, and 3.10 the same less _locale and warnings. No verb's own set
+# holds typing, which no module of the package imports.
 @pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason=f"start-up module lists are pinned for CPython 3.11, not "
+    sys.implementation.name != "cpython" or not (3, 10) <= sys.version_info[:2] <= (3, 13),
+    reason=f"start-up module lists are pinned for CPython 3.10 to 3.13, not "
            f"{sys.implementation.name} {sys.version.split()[0]}")
-@pytest.mark.parametrize("argv, own", [
-    (["push", "--force", "5", "--dir", "left"], {"gaitforge.push_fuzzy", *TYPING}),
-    (["ca-predict", "--init", "0101", "--n", "4"], {"gaitforge.gait_ca"}),
-    (["simulate-block", "--t-end", "1", "--out", "trace.csv"],
-     {"array", "gaitforge.rocking_block", *TYPING}),
-    (["gen-gait", "--out", "cycle.tsv"],
-     {"_bisect", "array", "bisect", "gaitforge.gait_model", *TYPING}),
-], ids=["push", "ca-predict", "simulate-block", "gen-gait"])
+@pytest.mark.parametrize("argv, own", START_UP_VERBS,
+                         ids=[argv[0] for argv, _ in START_UP_VERBS])
 def test_verb_loads_only_its_allowed_start_up_modules(argv, own, tmp_path):
     loaded = loaded_after(argv, tmp_path, START_UP_PROBE, flags=["-S"])
     assert loaded - START_UP_MODULES - own == set()
@@ -368,6 +347,70 @@ def test_records_of_different_values_or_types_differ():
 ])
 def test_record_repr_is_the_dataclass_repr(record, text):
     assert repr(record) == text
+
+
+# the records that are namedtuple subclasses: for FROZEN's instance, its repr,
+# _fields and _field_defaults, as the typing.NamedTuple classes they replaced
+# gave them
+NAMEDTUPLES = {
+    "IMF": ("IMF(values=array([0., 0., 0., 0.]), index=0)", "values index", {}),
+    "FeatureVector": ("FeatureVector(min=1.0, max=2.0, shannon_entropy=0.5, log_energy=-3.0, "
+                      "rms=1.5, zcr=0.25)",
+                      "min max shannon_entropy log_energy rms zcr", {}),
+    "BoxStats": ("BoxStats(q1=1.0, q2=2.0, q3=3.0, iqr=2.0, outliers=(), "
+                 "suspected_outliers=(0,))", "q1 q2 q3 iqr outliers suspected_outliers", {}),
+    "BoundaryGap": ("BoundaryGap(x=0.5, from_phase=<GaitPhase.LR: 0>, "
+                    "to_phase=<GaitPhase.MST: 1>, gaps={'left_hip': 1.0})",
+                    "x from_phase to_phase gaps", {}),
+    "RangeViolation": ("RangeViolation(phase=<GaitPhase.LR: 0>, joint='left_hip', index=3, "
+                       "x=0.05, angle=40.0, lo=-5.0, hi=30.0)",
+                       "phase joint index x angle lo hi", {}),
+    "LimitCycle": ("LimitCycle(points=array([[0., 0.],\n       [0., 0.],\n       [0., 0.]]), "
+                   "closure_gap=0.0)", "points closure_gap", {}),
+    "CvResult": ("CvResult(fold_accuracies=[50.0, 100.0], mean=75.0, variance=1250.0, "
+                 "sigma=35.0)", "fold_accuracies mean variance sigma", {}),
+    "BiometricMetrics": ("BiometricMetrics(per_class_tar=array([1., 1.]), "
+                         "per_class_far=array([0., 0.]), per_class_frr=array([0., 0.]), "
+                         "tar=1.0, far=0.0, frr=0.0)",
+                         "per_class_tar per_class_far per_class_frr tar far frr", {}),
+    "AnovaResult": ("AnovaResult(ss_between=1.0, ss_within=2.0, df_between=1, df_within=8, "
+                    "ms_between=1.0, ms_within=0.25, f=4.0, p=0.08)",
+                    "ss_between ss_within df_between df_within ms_between ms_within f p", {}),
+    "PushResponse": ("PushResponse(reaction=ReactionMembership(small_roll=1.0, "
+                     "average_roll=0.0, large_roll=0.0, small_pitch=0.0, average_pitch=0.0, "
+                     "large_pitch=0.0), strategy=<Strategy.ANKLE: 'ankle'>, fell=False, "
+                     "strategy_degrees={'ankle': 1.0})",
+                     "reaction strategy fell strategy_degrees", {}),
+    "RangeCheckOutcome": ("RangeCheckOutcome(status='pass', band='b1', "
+                          "expected=<Strategy.HIP: 'hip'>)", "status band expected",
+                          {"band": None, "expected": None}),
+    "BlockState": ("BlockState(mode=<Mode.LEFT: 'left'>, x1=-0.5, x2=0.0, t=0.0)",
+                   "mode x1 x2 t", {"t": 0.0}),
+    "ImpactEvent": ("ImpactEvent(t=1.0, pre_velocity=0.5, post_velocity=0.45)",
+                    "t pre_velocity post_velocity", {}),
+}
+
+
+@pytest.mark.parametrize("name", NAMEDTUPLES)
+def test_namedtuple_record_is_the_tuple_it_replaced(name):
+    text, fields, defaults = NAMEDTUPLES[name]
+    record = FROZEN[name]()
+    cls, values = type(record), tuple(record)
+    assert cls.__name__ == name and cls.__slots__ == () and not hasattr(record, "__dict__")
+    assert repr(record) == text
+    assert cls._fields == tuple(fields.split()) and cls._field_defaults == defaults
+    assert record._asdict() == dict(zip(cls._fields, values))
+    # equal to the plain tuple of its fields, and hashed as that tuple
+    assert record == values and values == record and not record != values
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(values)
+    twin = record._replace(**{cls._fields[-1]: values[-1]})
+    assert type(twin) is cls and twin == record
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is cls and repr(back) == text
 
 
 def test_checked_records_keep_their_checks():

@@ -19,7 +19,7 @@ from gaitforge import capture, features, tables
 from gaitforge import gait_model as gm
 from gaitforge.cli import main
 from gaitforge.rocking_block import BlockParams, BlockState, Mode, simulate
-from gaitforge.tables import read_csv, write_json
+from gaitforge.tables import json_text, read_csv, write_json
 
 from conftest import fk_point
 
@@ -358,3 +358,13 @@ def test_json_bytes_match_rounded_dump(tmp_path):
     got = tmp_path / "got.json"
     write_json(got, doc)
     assert got.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_json_refuses_a_float_that_is_not_finite_and_writes_no_file(value, tmp_path):
+    doc = {"ok": 1.0, "nested": [{"bad": value}]}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_text(doc)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "never.json", doc)
+    assert list(tmp_path.iterdir()) == []
