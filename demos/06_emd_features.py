@@ -12,9 +12,9 @@ from gaitforge.features import emd_decompose, feature_vector, quartile_stats
 t = np.arange(2000) / 1000.0
 signal = np.sin(2 * np.pi * 10 * t) + np.sin(2 * np.pi * 1 * t)
 
-imfs, residue = emd_decompose(signal)
+imfs, residue, stop = emd_decompose(signal)
 recon = residue + sum(imf.values for imf in imfs)
-print(f"decomposed into {len(imfs)} IMFs; reconstruction error "
+print(f"decomposed into {len(imfs)} IMFs (stopped on {stop}); reconstruction error "
       f"{np.max(np.abs(signal - recon)):.2e}")
 
 for imf in imfs:

@@ -21,7 +21,9 @@ The library checks the rest when the verb runs, in the verb's own order:
 ``--tc``. So ``simulate-block --dt 0 --alpha 5`` reports ``--alpha``.
 A verb that exits with status 2 writes nothing: it computes every output
 before it writes the first. The exception is a write that fails partway,
-such as on a full disk or where an output path is a directory.
+such as on a full disk or where an output path is a directory. Where EMD
+runs out of sifts, ``features`` and ``plot-data`` print a ``warning:`` line
+on stderr, write the IMFs they kept and exit 0.
 
 A verb process enters through :func:`run`, which ends it with ``os._exit``
 once stdout and stderr are flushed, skipping the interpreter's teardown, so
@@ -105,6 +107,15 @@ def _at_least(low: int):
     return _checked(int, lambda value: value >= low, f"must be >= {low}")
 
 
+def _stderr(line: str) -> None:
+    """Print ``line`` to stderr. A stderr closed at start is None, and print
+    would write to stdout instead; one that cannot be written changes neither
+    the output nor the status."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 @contextmanager
 def _blame(prefix: str, errors=ValueError):
     """Re-raise a library fault of type ``errors`` as ``ValueError(f"{prefix}:
@@ -147,6 +158,19 @@ def _gait_config(args):
     tc = gait_model.DEFAULT_TC if args.tc is None else args.tc
     with _blame("--tc"):
         return gait_model.GaitModelConfig(tc=tc, schedule=schedule)
+
+
+def _imfs(series, where: str, **options) -> list:
+    """The IMFs of ``series``, decomposed with ``options``. Where EMD ran out
+    of sifts, a warning naming ``where`` says so: the mode it gave up on and
+    the rest stay in the residue, and the verb still exits 0."""
+    from .features import MAX_SIFTS, emd_decompose
+
+    imfs, _, stop = emd_decompose(series, **options)
+    if stop == "budget":
+        _stderr(f"warning: {where}: EMD stopped after MAX_SIFTS ({MAX_SIFTS}) sifts on IMF "
+                f"{len(imfs) + 1}; {len(imfs)} IMFs kept, the rest stays in the residue")
+    return imfs
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +269,7 @@ def cmd_features(args) -> int:
     rows = []
     for joint, series in (("theta1", th1), ("theta2", th2)):
         with _blame(args.infile):
-            imfs, _ = features.emd_decompose(series, max_imfs=args.max_imfs)
+            imfs = _imfs(series, f"{args.infile}: {joint}", max_imfs=args.max_imfs)
         for imf in imfs:
             fv = features.feature_vector(imf.values, bins=args.bins)
             rows.append((args.subject, joint, imf.index, fv, args.label))
@@ -378,7 +402,7 @@ def cmd_plot_data(args) -> int:
     # too-short grid is the only ValueError either raises, so --tc is at fault
     with _blame("--tc"):
         cycles = [gait_model.limit_cycle(traj, jkey) for jkey in gait_model.JOINT_KEYS]
-        imfs, _ = features.emd_decompose(traj.angles["left_hip"])
+        imfs = _imfs(traj.angles["left_hip"], "left_hip")
 
     # each output is (name, header, row format, rows); phase portraits first,
     # one file per joint
@@ -536,12 +560,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         # ValueError is every bad input, the library's subclasses included
         # (LayerSizeError, StratificationError, UnreachableError, ...);
-        # OSError a path that cannot be opened, such as a directory. A stderr
-        # closed at start is None, and print would write to stdout instead;
-        # one that cannot be written changes neither the output nor the status
-        if sys.stderr is not None:
-            with suppress(OSError):
-                print(f"error: {exc}", file=sys.stderr)
+        # OSError a path that cannot be opened, such as a directory
+        _stderr(f"error: {exc}")
         return 2
 
 

@@ -3,9 +3,11 @@
 Sifting peels a signal into intrinsic mode functions: each IMF oscillates
 about zero (its upper/lower envelope midline is near zero and its extremum
 and zero-crossing counts differ by at most one), and the decomposition
-reconstructs the input exactly as IMFs plus a slow residue. Six scalar
-features summarize a signal or IMF for classification; box-plot quartile
-statistics describe its distribution.
+reconstructs the input exactly as IMFs plus a slow residue. It also says
+why it stopped: enough IMFs, no extremum left to sift on, or a sift budget
+spent without a mode converging, which leaves that mode in the residue
+(:func:`emd_decompose`). Six scalar features summarize a signal or IMF for
+classification; box-plot quartile statistics describe its distribution.
 """
 
 from __future__ import annotations
@@ -64,68 +66,69 @@ def _mirrored_spline(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
     return natural_spline(tt, vv, np.arange(n, dtype=float))
 
 
-def envelope_mean(x: np.ndarray) -> np.ndarray | None:
-    """Midline of the upper/lower extremum envelopes, or None when the
-    signal has too few extrema on either side to sift further."""
-    maxima = local_maxima(x)
-    minima = local_minima(x)
-    if len(maxima) < 1 or len(minima) < 1:
-        return None
-    n = len(x)
-    upper = _mirrored_spline(maxima, x[maxima], n)
-    lower = _mirrored_spline(minima, x[minima], n)
+def _envelope_mean(x: np.ndarray, maxima: np.ndarray, minima: np.ndarray) -> np.ndarray:
+    upper, lower = (_mirrored_spline(idx, x[idx], len(x)) for idx in (maxima, minima))
     return (upper + lower) / 2.0
 
 
-def _is_imf_candidate(h: np.ndarray) -> bool:
-    return abs(count_extrema(h) - count_zero_crossings(h)) <= 1
+def envelope_mean(x: np.ndarray) -> np.ndarray | None:
+    """Midline of the upper/lower extremum envelopes, or None when the
+    signal has too few extrema on either side to sift further."""
+    maxima, minima = local_maxima(x), local_minima(x)
+    if len(maxima) < 1 or len(minima) < 1:
+        return None
+    return _envelope_mean(x, maxima, minima)
 
 
-def _sift(x: np.ndarray) -> np.ndarray | None:
-    """Extract one IMF from x.
+class Decomposition(namedtuple("Decomposition", "imfs residue stop")):
+    """What :func:`emd_decompose` returns: the ``imfs`` (a list of
+    :class:`IMF`), the ``residue`` (an array) and why it stopped, ``stop``:
+    ``"max_imfs"``, ``"no_extrema"`` or ``"budget"``."""
 
-    Returns None when x has no oscillation left or when the sift budget runs
-    out before the mode passes the IMF checks; an unconverged mode stays in
-    the residue rather than being emitted as a false IMF.
+    __slots__ = ()
+
+
+def emd_decompose(signal, max_imfs: int = 10) -> Decomposition:
+    """Decompose a signal into IMFs plus a residue, and say why it stopped.
+
+    Each IMF is sifted from the residue: the envelope mean is subtracted
+    until the iterate's extremum and zero-crossing counts differ by at most
+    one and the Cauchy SD between consecutive iterates is below
+    ``SIFT_SD_TOL``. Extraction stops at the first of three, named by
+    ``stop``: ``max_imfs`` IMFs are kept (``"max_imfs"``); a sift iterate
+    lacks a maximum or a minimum, as a monotone residue does
+    (``"no_extrema"``); or ``MAX_SIFTS`` sifts pass without the mode passing
+    its checks (``"budget"``). The last leaves that mode in the residue: on
+    a long noisy signal it can end the decomposition with no IMFs at all. A
+    monotone input simply comes back as the residue with no IMFs. The parts
+    always sum back to the input. numpy's overflow warnings are silenced: on
+    huge but finite values an overflowed product keeps its sign, and an SD
+    of NaN fails the SD test.
     """
-    h = x
-    for _ in range(MAX_SIFTS):
-        mean = envelope_mean(h)
-        if mean is None:
-            return None
-        h_next = h - mean
-        denom = float(np.sum(h * h))
-        sd = float(np.sum((h - h_next) ** 2)) / denom if denom > 0 else 0.0
-        h = h_next
-        if _is_imf_candidate(h) and sd < SIFT_SD_TOL:
-            return h
-    return None
-
-
-def emd_decompose(signal, max_imfs: int = 10) -> tuple[list[IMF], np.ndarray]:
-    """Decompose a signal into IMFs plus a residue.
-
-    Extraction stops at the first of three: the residue is monotone (fewer
-    than two interior extrema), ``max_imfs`` is reached, or :func:`_sift`
-    runs through ``MAX_SIFTS`` sifts without the mode passing its checks.
-    The last leaves that mode in the residue: on a long noisy signal it can
-    end the decomposition with no IMFs at all. A monotone input simply comes
-    back as the residue with no IMFs. The parts always sum back to the input.
-    """
-    x = _as_array(signal)
-    if len(x) < 4:
+    residue = np.array(signal, dtype=float)
+    if len(residue) < 4:
         raise ValueError("need at least 4 samples to decompose")
-    residue = x.copy()
     imfs: list[IMF] = []
-    while len(imfs) < max_imfs:
-        # a residue with fewer than two interior extrema lacks a maximum or
-        # a minimum, so _sift's first envelope_mean returns None
-        imf_values = _sift(residue)
-        if imf_values is None:
-            break
-        imfs.append(IMF(values=imf_values, index=len(imfs)))
-        residue = residue - imf_values
-    return imfs, residue
+    with np.errstate(over="ignore"):
+        while len(imfs) < max_imfs:
+            h = residue
+            maxima, minima = local_maxima(h), local_minima(h)
+            for _ in range(MAX_SIFTS):
+                if len(maxima) < 1 or len(minima) < 1:
+                    return Decomposition(imfs, residue, "no_extrema")
+                h_prev, h = h, h - _envelope_mean(h, maxima, minima)
+                denom = float(np.sum(h_prev * h_prev))
+                sd = float(np.sum((h_prev - h) ** 2)) / denom if denom > 0 else 0.0
+                # these extrema also feed the next sift's envelopes
+                maxima, minima = local_maxima(h), local_minima(h)
+                n_extrema = len(maxima) + len(minima)
+                if abs(n_extrema - count_zero_crossings(h)) <= 1 and sd < SIFT_SD_TOL:
+                    break
+            else:
+                return Decomposition(imfs, residue, "budget")
+            imfs.append(IMF(values=h, index=len(imfs)))
+            residue = residue - h
+    return Decomposition(imfs, residue, "max_imfs")
 
 
 class FeatureVector(namedtuple("FeatureVector",
@@ -199,14 +202,6 @@ class BoxStats(namedtuple("BoxStats", "q1 q2 q3 iqr outliers suspected_outliers"
     __slots__ = ()
 
 
-def _median(sorted_vals: np.ndarray) -> float:
-    n = len(sorted_vals)
-    mid = n // 2
-    if n % 2:
-        return float(sorted_vals[mid])
-    return float((sorted_vals[mid - 1] + sorted_vals[mid]) / 2.0)
-
-
 def quartile_stats(values) -> BoxStats:
     """Quartiles by median-of-halves (the odd middle element belongs to
     neither half), with samples beyond the 3x / 1.5x IQR fences listed as
@@ -216,10 +211,8 @@ def quartile_stats(values) -> BoxStats:
     if n < 4:
         raise ValueError("need at least 4 samples")
     s = np.sort(x)
-    q2 = _median(s)
     half = n // 2
-    q1 = _median(s[:half])
-    q3 = _median(s[n - half:])
+    q1, q2, q3 = (float(np.median(part)) for part in (s[:half], s, s[n - half:]))
     iqr = q3 - q1
 
     def beyond(reach: float) -> tuple[int, ...]:

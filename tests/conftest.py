@@ -1,7 +1,9 @@
+import io
 import math
 import os
 import shutil
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,24 @@ def bundled_tables(tmp_path, monkeypatch):
     _clear_table_caches()
     yield fixtures
     _clear_table_caches()
+
+
+@pytest.fixture(scope="session")
+def alg1_cuts(tmp_path_factory):
+    """The seed-1 ``signal_learn`` accelerometer export, from the benchmark's
+    own generator, through ``ingest`` with its default ``alg1``, cut to the
+    header and its first 200 and 5,000 rows: the path of each cut, by rows.
+    On these raw angles EMD runs out of sifts on some joints."""
+    from bare_digests import load_workloads
+    from gaitforge import cli
+
+    work = tmp_path_factory.mktemp("alg1")
+    load_workloads().WORKLOADS["signal_learn"](1, work)
+    angles = work / "angles.csv"
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["ingest", "--in", str(work / "accel.csv"), "--out", str(angles)]) == 0
+    lines = angles.read_text(encoding="utf-8").splitlines(keepends=True)
+    cuts = {rows: work / f"alg1-{rows}.csv" for rows in (200, 5000)}
+    for rows, path in cuts.items():
+        path.write_text("".join(lines[:rows + 1]), encoding="utf-8")
+    return cuts

@@ -327,7 +327,7 @@ def test_criterion_09_emd():
         t = np.arange(2000) / 1000.0
         signal = np.sin(2 * np.pi * 10 * t) + np.sin(2 * np.pi * 1 * t)
         start = time.perf_counter()
-        imfs, residue = emd_decompose(signal)
+        imfs, residue, _ = emd_decompose(signal)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0
 

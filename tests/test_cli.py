@@ -745,6 +745,51 @@ def test_features_too_short_series_exits_2(tmp_path, capsys):
     assert "samples" in capsys.readouterr().err
 
 
+def gave_up(where, imf):
+    """The warning ``features`` and ``plot-data`` print where EMD ran out of
+    sifts on IMF ``imf`` (1-based)."""
+    return (f"warning: {where}: EMD stopped after MAX_SIFTS ({features.MAX_SIFTS}) sifts on "
+            f"IMF {imf}; {imf - 1} IMFs kept, the rest stays in the residue\n")
+
+
+@pytest.mark.parametrize("rows, warnings", [
+    (200, [("theta2", 5)]),
+    (5000, [("theta1", 1)]),
+])
+def test_features_warns_where_emd_ran_out_of_sifts(rows, warnings, alg1_cuts, tmp_path,
+                                                   capsys):
+    angles, out = alg1_cuts[rows], tmp_path / "f.csv"
+    assert run(["features", "--in", str(angles), "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "".join(gave_up(f"{angles}: {joint}", imf) for joint, imf in warnings)
+    assert printed.out == f"wrote {len(out.read_text().splitlines()) - 1} feature rows to {out}\n"
+
+
+def test_features_on_huge_angles_warns_twice_and_exits_0(tmp_path, capsys, monkeypatch):
+    # RuntimeWarnings are errors here, so numpy's overflow must stay silent;
+    # the process entry must print the same lines before its os._exit
+    rows = [f"{i * 0.01:.2f},{1e200 * math.sin(i / 5):.6g},{1e200 * math.cos(i / 7):.6g}"
+            for i in range(400)]
+    (tmp_path / "huge.csv").write_text("t,theta1_deg,theta2_deg\n" + "\n".join(rows) + "\n")
+    argv = ["features", "--in", "huge.csv", "--out", "f.csv"]
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0
+    printed = capsys.readouterr()
+    assert printed == ("wrote 0 feature rows to f.csv\n",
+                       gave_up("huge.csv: theta1", 1) + gave_up("huge.csv: theta2", 1))
+    assert (tmp_path / "f.csv").read_text().count("\n") == 1
+    done = verb_process(argv, tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, printed.out, printed.err)
+
+
+def test_plot_data_warns_where_emd_ran_out_of_sifts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(features, "MAX_SIFTS", 1)
+    out = tmp_path / "plots"
+    assert run(["plot-data", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == gave_up("left_hip", 1)
+    assert (out / "box_stats.csv").read_text() == "imf_index,value\n"
+
+
 def test_cv_bundled_dataset(tmp_path, capsys):
     out = tmp_path / "cv.json"
     assert run(["cv", "--method", "knn", "--k", "3", "--out", str(out)]) == 0

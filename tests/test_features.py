@@ -1,11 +1,12 @@
 import math
+from hashlib import sha256
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gaitforge.capture import natural_spline
+from gaitforge.capture import load_joint_angle_csv, natural_spline
 
 from gaitforge.features import (
     IMF,
@@ -47,7 +48,7 @@ def assert_imf_invariants(imf):
 
 def test_monotone_ramp_yields_no_imfs():
     ramp = np.linspace(0.0, 1.0, 64)
-    imfs, residue = emd_decompose(ramp)
+    imfs, residue, _ = emd_decompose(ramp)
     assert imfs == []
     assert np.array_equal(residue, ramp)
 
@@ -55,7 +56,7 @@ def test_monotone_ramp_yields_no_imfs():
 def test_two_tone_separation():
     t = np.arange(2000) / 1000.0
     signal = np.sin(2 * np.pi * 10 * t) + np.sin(2 * np.pi * 1 * t)
-    imfs, residue = emd_decompose(signal)
+    imfs, residue, _ = emd_decompose(signal)
     assert len(imfs) >= 2
     fast = np.sin(2 * np.pi * 10 * t)
     corr = np.corrcoef(imfs[0].values, fast)[0, 1]
@@ -72,7 +73,7 @@ def test_reconstruction_on_random_smooth_signals():
         knots = rng.normal(size=12)
         slow = np.interp(np.linspace(0, 1, n), np.linspace(0, 1, 12), knots)
         signal = slow + 0.4 * np.sin(2 * np.pi * 9 * np.linspace(0, 1, n))
-        imfs, residue = emd_decompose(signal)
+        imfs, residue, _ = emd_decompose(signal)
         assert reconstruction_error(signal, imfs, residue) < 1e-9
         for imf in imfs:
             assert_imf_invariants(imf)
@@ -81,7 +82,7 @@ def test_reconstruction_on_random_smooth_signals():
 def test_residue_has_little_oscillation_left():
     t = np.linspace(0.0, 1.0, 800)
     signal = np.sin(2 * np.pi * 7 * t) + 3.0 * t
-    imfs, residue = emd_decompose(signal)
+    imfs, residue, _ = emd_decompose(signal)
     assert len(imfs) >= 1
     assert count_extrema(residue) < 2 or len(imfs) == 10
 
@@ -137,8 +138,82 @@ def test_short_signal_rejected():
 def test_max_imfs_cap():
     rng = np.random.default_rng(5)
     signal = rng.normal(size=600)
-    imfs, _ = emd_decompose(signal, max_imfs=2)
+    imfs, _, _ = emd_decompose(signal, max_imfs=2)
     assert len(imfs) <= 2
+
+
+def test_stop_names_why_the_decomposition_ended():
+    assert emd_decompose(np.linspace(0.0, 1.0, 64)).stop == "no_extrema"
+    t = np.arange(2000) / 1000.0
+    decomposition = emd_decompose(np.sin(2 * np.pi * 10 * t) + np.sin(2 * np.pi * t), max_imfs=1)
+    assert (len(decomposition.imfs), decomposition.stop) == (1, "max_imfs")
+    assert decomposition[0] is decomposition.imfs
+
+
+# The seed-1 alg1 cuts decomposed as `features` does, into at most 6 IMFs:
+# the SHA-256 of each IMF's and of the residue's bytes, read before the sift
+# loop moved into emd_decompose, and the stop. A change to the stop rule
+# changes these on purpose.
+ALG1_PINS = {
+    (200, "theta1"): (
+        [
+            "52ef0a81d2d2ab4e8143a057779f5f213d7b03135ec5ec92972b51b3fadd29c3",
+            "65aaecfa2e8cd1fcf2bfa6b0d1cca0285ba7ee076a9300e6dad5d8f067cbf9cc",
+            "be98df6aa3981916dbbd6d125e5259c0ace13e0d953a59e6f887cacf42dc6b72",
+        ],
+        "61dc4d9831f99dc6f3d7e548e42cdc0e8e7647dc9f1a5f5aa6587a7c0fbcd4ce",
+        "no_extrema",
+    ),
+    (200, "theta2"): (
+        [
+            "b8e5061c275829b4ca40a31c7197d44bc7304a973228041c87528b2959e813c5",
+            "d8ffb4997e62d652310fa1547c6b00dd5ad3d25049c856f9ad06010798541946",
+            "de27cd5948852e86ede87958728b28a631dd66cb053a1ba6d588c3821374b55c",
+            "941e1a01ffeff9ebd8151fd41be8725ab12883bb1885451bc9455b3800071b62",
+        ],
+        "456bde9f857a1b3871c799eaca76b46bbf1233053f6808f9b27fe7a96f758cb8",
+        "budget",
+    ),
+    (5000, "theta1"): (
+        [
+        ],
+        "123513c74685d426abe2d9765fad07729fbd8a0d43f3d3aa2d9e804214e3c5df",
+        "budget",
+    ),
+    (5000, "theta2"): (
+        [
+            "e4b22c35e4ba79aaa0b8ba62cd08867547de555698e9faa10eb4663ea4967530",
+            "2eadaa26580f9a5b45cb026b78868061e0fe23b0473b78899d0819bbbbe60690",
+            "98da4a7ec663fc46c1a1e545fd4b7955fb61adb0b927ec4b39167f2758010aed",
+            "0cec6a926275aefbd3100f40d8c8c6839d25531c64a5e44b0b0c064b4e7fe16d",
+            "b5c9ad6cb933e0fd6cfb0df568df04a487f70508d75d4f3bb6689671f9c659cc",
+            "8b2e32f245c8737567e6d6dfeb37ebf51242fb3a1ed3fbc545b12044fb4b8982",
+        ],
+        "26191381bdb07c673f084443c40cc9e709142ea6a59d52ff472d0a2f65da91df",
+        "max_imfs",
+    ),
+}
+
+
+@pytest.mark.parametrize("rows, joint", ALG1_PINS)
+def test_emd_keeps_its_bits_on_raw_alg1_angles(rows, joint, alg1_cuts):
+    imf_digests, residue_digest, stop = ALG1_PINS[rows, joint]
+    _, theta1, theta2 = load_joint_angle_csv(alg1_cuts[rows])
+    decomposition = emd_decompose(theta1 if joint == "theta1" else theta2, max_imfs=6)
+    assert [sha256(imf.values.tobytes()).hexdigest() for imf in decomposition.imfs] == \
+        imf_digests
+    assert sha256(decomposition.residue.tobytes()).hexdigest() == residue_digest
+    assert decomposition.stop == stop
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e307])
+def test_huge_finite_signal_runs_out_of_sifts_without_a_warning(scale):
+    # RuntimeWarnings are errors here; the overflowing products keep their
+    # sign and a NaN SD never passes the stop test, so the mode never converges
+    signal = scale * np.sin(np.arange(400) / 5.0)
+    imfs, residue, stop = emd_decompose(signal)
+    assert (imfs, stop) == ([], "budget")
+    assert np.array_equal(residue, signal)
 
 
 # ---------------------------------------------------------------------------

@@ -326,7 +326,7 @@ def test_plot_data_bytes_match_per_value_formatting(tmp_path):
             text += f"{tip[0]:.6f},{tip[1]:.6f}\n"
         expected[f"stick_{side}.csv"] = text
     text = "imf_index,value\n"
-    imfs, _ = features.emd_decompose(traj.angles["left_hip"])
+    imfs, _, _ = features.emd_decompose(traj.angles["left_hip"])
     for imf in imfs:
         stats = features.quartile_stats(imf.values)
         for value in (stats.q1 - 1.5 * stats.iqr, stats.q1, stats.q2,
