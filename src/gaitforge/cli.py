@@ -142,22 +142,23 @@ def _field(text: str) -> str:
     return text
 
 
-def _load_bank(path: str | None):
-    from . import gait_model
-
-    if path is None:
-        return gait_model.FieldBank.default()
-    _open_inputs(path)
-    return read_table(path, "model bank", gait_model.FieldBank.from_dict)
-
-
-def _gait_config(args):
+def _gait_cycle(args, cross_fade: bool = False):
+    """The gait cycle of the ``--schedule``, ``--tc`` and ``--model-bank``
+    options. ``--tc`` is checked first, then the bank is read (the bundled
+    one by default, a missing file as ``input not found``), and only then is
+    the grid sampled; none of these steps loads numpy."""
     from . import gait_model
 
     schedule = gait_model.PhaseSchedule.preset(args.schedule)
     tc = gait_model.DEFAULT_TC if args.tc is None else args.tc
     with _blame("--tc"):
-        return gait_model.GaitModelConfig(tc=tc, schedule=schedule)
+        config = gait_model.GaitModelConfig(tc=tc, schedule=schedule)
+    if args.model_bank is None:
+        bank = gait_model.FieldBank.default()
+    else:
+        _open_inputs(args.model_bank)
+        bank = read_table(args.model_bank, "model bank", gait_model.FieldBank.from_dict)
+    return gait_model.generate_gait_cycle(bank, config, cross_fade=cross_fade)
 
 
 def _imfs(series, where: str, **options) -> list:
@@ -180,9 +181,7 @@ def _imfs(series, where: str, **options) -> list:
 def cmd_gen_gait(args) -> int:
     from . import gait_model
 
-    config = _gait_config(args)
-    bank = _load_bank(args.model_bank)
-    traj = gait_model.generate_gait_cycle(bank, config, cross_fade=args.cross_fade)
+    traj = _gait_cycle(args, cross_fade=args.cross_fade)
     validation = gait_model.validate_ranges(traj)
     traj.write_tsv(args.out)
     report = {
@@ -391,13 +390,11 @@ def cmd_push(args) -> int:
 def cmd_plot_data(args) -> int:
     from . import gait_model
 
-    config = _gait_config(args)
-    bank = _load_bank(args.model_bank)
+    traj = _gait_cycle(args)
     import numpy as np
 
     from . import capture, features
 
-    traj = gait_model.generate_gait_cycle(bank, config)
     # limit_cycle needs 3 samples and emd_decompose 4; on a generated cycle a
     # too-short grid is the only ValueError either raises, so --tc is at fault
     with _blame("--tc"):

@@ -78,7 +78,9 @@ class SingularFitError(ValueError):
 
 class PhaseSchedule(FrozenRecord):
     """Seven strictly increasing phase-end coordinates; the last one is the
-    cycle length."""
+    cycle length, :data:`CYCLE_LENGTH`. Any other last boundary raises
+    ``ValueError``: a field's overflow cap covers [0, CYCLE_LENGTH] only, so
+    a longer cycle could sample a bank past it into ``inf``."""
 
     __slots__ = ("boundaries",)
 
@@ -88,6 +90,9 @@ class PhaseSchedule(FrozenRecord):
             raise ValueError(f"expected 7 boundaries, got {len(b)}")
         if b[0] <= 0.0 or any(hi <= lo for lo, hi in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing and positive")
+        if b[-1] != CYCLE_LENGTH:
+            raise ValueError(f"the last boundary must be the cycle length {CYCLE_LENGTH}, "
+                             f"got {b[-1]}")
         self._set(b)
 
     @property

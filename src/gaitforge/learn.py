@@ -375,10 +375,17 @@ def kfold_cv(data: Dataset, trainer: Callable[[Dataset], Callable], folds: int =
     LOCKSTEP_FOLDS training sets: a trainer with a ``fit_folds(train_sets)``
     attribute, which returns one predictor per set, gets each group in one
     call; any other trainer is called once per set of the group. Accuracies
-    are percentages per fold; the aggregate uses the n-1 variance.
+    are percentages per fold; the aggregate uses the n-1 variance. A class
+    with members but fewer than ``folds`` raises :class:`StratificationError`
+    that quotes its name from ``class_names``.
     """
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    # kfold_indices would name a too-small class by its label index; name it
+    # as the data file spells it
+    for name, count in zip(data.class_names, np.bincount(data.labels, minlength=data.n_classes)):
+        if 0 < count < folds:
+            raise StratificationError(f"class {name!r} has {count} members; needs >= {folds}")
     test_folds = kfold_indices(data.labels, folds, seed=seed)
     all_idx = np.arange(len(data))
 

@@ -237,33 +237,29 @@ def simulate(init: BlockState, params: BlockParams, t_end: float) -> BlockTrace:
             # a crossing leaves the mode's domain within this step; comparing
             # against the pre-state keeps a grazing pass from re-triggering
             if left:
-                crossed = x1 <= _EVENT_TOL and nx1 > _EVENT_TOL
+                impact = x1 <= _EVENT_TOL and nx1 > _EVENT_TOL
             else:
-                crossed = x1 >= -_EVENT_TOL and nx1 < -_EVENT_TOL
+                impact = x1 >= -_EVENT_TOL and nx1 < -_EVENT_TOL
             # guard also wants the matching velocity sign at the crossing
-            if crossed:
+            if impact:
                 h, cx1, cx2 = _locate_crossing(left, x1, x2, dt, alpha, restoring)
-                if (cx2 >= 0.0) if left else (cx2 <= 0.0):
-                    t += h
-                    post = r * cx2
-                    impacts.append(ImpactEvent(t=t, pre_velocity=cx2, post_velocity=post))
-                    if len(impacts) > MAX_IMPACTS:
-                        raise ZenoError(f"more than {MAX_IMPACTS} impacts")
-                    left, x1, x2 = not left, cx1, post
-                    add_t(t)
-                    add_mode(not left)
-                    add_x1(x1)
-                    add_x2(x2)
-                    if abs(post) < _REST_TOL:
-                        trace.status = "at_rest"
-                        return trace
-                    continue
-            t += dt
-            x1, x2 = nx1, nx2
+                impact = (cx2 >= 0.0) if left else (cx2 <= 0.0)
+            if impact:
+                t += h
+                left, x1, x2 = not left, cx1, r * cx2
+                impacts.append(ImpactEvent(t=t, pre_velocity=cx2, post_velocity=x2))
+                if len(impacts) > MAX_IMPACTS:
+                    raise ZenoError(f"more than {MAX_IMPACTS} impacts")
+            else:
+                t += dt
+                x1, x2 = nx1, nx2
             add_t(t)
             add_mode(not left)
             add_x1(x1)
             add_x2(x2)
+            if impact and abs(x2) < _REST_TOL:
+                trace.status = "at_rest"
+                return trace
     except ValueError:
         # a stage of this step or of its crossing bisection overflowed to
         # inf, and math.sin raised before the finite check saw it

@@ -876,6 +876,17 @@ def test_cv_writes_an_infinite_anova_f_as_null(tmp_path):
     assert doc["anova"]["F"] is None and doc["anova"]["p"] == 0.0
 
 
+@pytest.mark.parametrize("rows", [["0.0,a", "1.0,b", "2.0,b"], ["0.0,b", "1.0,a", "2.0,b"]],
+                         ids=["first", "second"])
+def test_cv_names_a_too_small_class_as_the_file_spells_it(rows, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "one-a.csv").write_text("\n".join(["f0,label"] + rows) + "\n")
+    assert run(["cv", "--data", "one-a.csv", "--folds", "2", "--out", "cv.json"]) == 2
+    assert capsys.readouterr().err == "error: class 'a' has 1 members; needs >= 2\n"
+    assert not (tmp_path / "cv.json").exists()
+
+
 @pytest.mark.parametrize("method", ["knn", "mlp"])
 @pytest.mark.parametrize("test_csv, message", [
     ("f0,f1,f2,label\n0.0,1.0,2.0,a\n", "te.csv: 3 feature columns, but tr.csv has 2\n"),

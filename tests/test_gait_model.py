@@ -110,6 +110,18 @@ def test_schedule_validation():
         PhaseSchedule((0.5, 0.7, 0.9))
 
 
+def test_schedule_must_end_at_the_cycle_length():
+    # a bank is capped against overflow on [0, 1.6] only: past it this one's
+    # left_hip TSW field reaches inf by x = 3.1
+    doc = FieldBank.default().to_dict()
+    doc["left_hip"]["TSW"]["coeffs"] = [2e307, 0.0, 0.0, 0.0, 0.0]
+    FieldBank.from_dict(doc)
+    with pytest.raises(ValueError, match=r"last boundary must be the cycle length 1\.6, got 3\.2"):
+        PhaseSchedule((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.2))
+    for name, _ in gm.SCHEDULE_PRESETS:
+        assert PhaseSchedule.preset(name).x_max == CYCLE_LENGTH
+
+
 # ---------------------------------------------------------------------------
 # eval_vector_field
 # ---------------------------------------------------------------------------

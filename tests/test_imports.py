@@ -101,6 +101,7 @@ def test_importing_the_gait_model_loads_no_numpy(tmp_path):
     ["classify", "--train", "train.csv", "--test", "missing.csv", "--out", "never.json"],
     ["cv", "--data", "missing.csv"],
     ["cv", "--data", "missing.csv", "--method", "mlp", "--baseline", "knn", "--out", "never.json"],
+    ["plot-data", "--model-bank", "missing.csv", "--out-dir", "never"],
 ])
 def test_missing_input_is_reported_before_numpy_loads(argv, tmp_path):
     write_inputs(tmp_path)

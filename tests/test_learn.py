@@ -348,8 +348,11 @@ def test_stratification_error():
     feats = np.random.default_rng(0).normal(size=(7, 2))
     labels = np.array([0, 0, 0, 0, 0, 1, 1])  # class 1 smaller than fold count
     data = Dataset(feats, labels, ("a", "b"))
-    with pytest.raises(StratificationError):
+    with pytest.raises(StratificationError, match="^class 'b' has 2 members; needs >= 5$"):
         kfold_cv(data, knn_trainer(1), folds=5)
+    # on bare integer labels the class is its label
+    with pytest.raises(StratificationError, match="^class 1 has 2 members; needs >= 5$"):
+        kfold_indices(labels, 5)
 
 
 def test_mlp_trainer_in_cv_runs():
@@ -379,7 +382,7 @@ def test_huge_fold_count_fails_before_allocating_folds():
     data = two_blobs(n_per=10, seed=8)
     tracemalloc.start()
     try:
-        with pytest.raises(StratificationError, match="class 0 has 10 members; needs >= 2000000"):
+        with pytest.raises(StratificationError, match="class 'a' has 10 members; needs >= 2000000"):
             kfold_cv(data, knn_trainer(1), folds=2_000_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -315,6 +315,9 @@ def test_rk4_is_classical_rk4_over_flow_bit_for_bit(mode, restoring, h):
     # starting in the right mode
     (BlockState(Mode.RIGHT, 0.3, -0.2, t=2.0),
      BlockParams(alpha=0.5, r=0.7, restoring_sign=True), 14.0, "at_rest"),
+    # a crossing the guard rejects: the velocity there is negative, so the
+    # step is a plain flow step and no impact follows
+    (BlockState(Mode.LEFT, 5e-11, -1e-6), BlockParams(alpha=0.3, r=0.9), 1.0, "completed"),
 ])
 def test_simulate_matches_the_per_step_reference_bit_for_bit(init, params, t_end, status):
     states, impacts, want_status = reference_simulate(init, params, t_end)
