@@ -143,7 +143,12 @@ def shannon_entropy(values, bins: int = 16) -> float:
     """Entropy (bits) of an equal-width histogram over [min, max].
 
     A point mass lands in a single bin and scores 0; a uniform spread over
-    all bins scores log2(bins).
+    all bins scores log2(bins). The bins are ``np.histogram``'s, except on a
+    range so narrow (a few ulps) that ``np.linspace(min, max, bins + 1)``
+    does not strictly increase, which numpy refuses: there sample ``v`` goes
+    to bin ``min(int((v - min) / (max - min) * bins), bins - 1)``, so two
+    distinct values one ulp apart score 1 bit. A NaN sample, or a range
+    wider than the largest float, raises numpy's ``ValueError``.
     """
     if not 1 <= bins <= MAX_BINS:
         raise ValueError(f"bins must lie in [1, {MAX_BINS}], got {bins}")
@@ -151,7 +156,11 @@ def shannon_entropy(values, bins: int = 16) -> float:
     lo, hi = float(x.min()), float(x.max())
     if lo == hi:
         return 0.0
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
+    if np.isfinite(hi - lo) and np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0.0):
+        counts = np.bincount(np.minimum(((x - lo) / (hi - lo) * bins).astype(np.intp), bins - 1),
+                             minlength=bins)
+    else:
+        counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
     p = counts[counts > 0] / len(x)
     return float(-np.sum(p * np.log2(p)))
 

@@ -95,10 +95,6 @@ class PhaseSchedule(FrozenRecord):
                              f"got {b[-1]}")
         self._set(b)
 
-    @property
-    def x_max(self) -> float:
-        return self.boundaries[-1]
-
     def interval(self, phase: GaitPhase) -> tuple[float, float]:
         """Half-open-on-the-left interval (lo, hi] owned by `phase`; LR also
         owns x = 0."""
@@ -123,14 +119,14 @@ def phase_of(x: float, schedule: PhaseSchedule = PhaseSchedule.preset("guard")) 
     # bisect would place NaN past the last boundary, so check first
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"cycle coordinate must be finite and >= 0, got {x}")
-    if x > schedule.x_max:
-        x = math.fmod(x, schedule.x_max)
+    if x > CYCLE_LENGTH:
+        x = math.fmod(x, CYCLE_LENGTH)
     return GaitPhase(bisect_left(schedule.boundaries, x))
 
 
 def _phase_runs(grid: array, schedule: PhaseSchedule) -> list[tuple[int, int, int]]:
     """``(phase ordinal, start, stop)`` slices of an increasing grid in
-    ``[0, x_max]``, in order: the grid form of :func:`phase_of`.
+    ``[0, CYCLE_LENGTH]``, in order: the grid form of :func:`phase_of`.
 
     Phase k owns the coordinates in ``(b[k-1], b[k]]``, so its slice ends
     where ``bisect_right`` puts ``b[k]``.
@@ -206,16 +202,16 @@ class GaitModelConfig(FrozenRecord):
                  schedule: PhaseSchedule = PhaseSchedule.preset("guard")):
         if not (math.isfinite(tc) and tc > 0.0):
             raise ValueError(f"tc must be finite and strictly positive, got {tc}")
-        # n_samples > MAX_SAMPLES exactly when x_max / tc >= MAX_SAMPLES; the
-        # ratio may be inf, which floor() cannot take
-        if schedule.x_max / tc >= MAX_SAMPLES:
+        # n_samples > MAX_SAMPLES exactly when CYCLE_LENGTH / tc >= MAX_SAMPLES;
+        # the ratio may be inf, which floor() cannot take
+        if CYCLE_LENGTH / tc >= MAX_SAMPLES:
             raise ValueError(f"tc {tc} needs more than {MAX_SAMPLES} samples per cycle")
         self._set(tc, schedule)
 
     @property
     def n_samples(self) -> int:
-        """Grid points in one cycle: 0, tc, 2 tc, ... up to x_max."""
-        return int(math.floor(self.schedule.x_max / self.tc)) + 1
+        """Grid points in one cycle: 0, tc, 2 tc, ... up to the cycle length."""
+        return int(math.floor(CYCLE_LENGTH / self.tc)) + 1
 
 
 class FieldBank:
@@ -231,12 +227,11 @@ class FieldBank:
             for phase in GaitPhase:
                 self.get(jkey, phase)
 
-    def get(self, jkey: str, phase: GaitPhase | str) -> PolynomialVectorField:
-        pkey = phase.name if isinstance(phase, GaitPhase) else phase
+    def get(self, jkey: str, phase: GaitPhase) -> PolynomialVectorField:
         try:
-            return self._fields[jkey][pkey]
+            return self._fields[jkey][phase.name]
         except KeyError:
-            raise MissingFieldError(f"no field for ({jkey}, {pkey})") from None
+            raise MissingFieldError(f"no field for ({jkey}, {phase.name})") from None
 
     def to_dict(self) -> dict:
         return {
@@ -292,7 +287,7 @@ class BoundaryGap(namedtuple("BoundaryGap", "x from_phase to_phase gaps")):
 class JointTrajectorySet(Record):
     """Six joint-angle sequences sampled on a shared cycle grid, as
     ``array("d")`` columns: the grid ``x`` (strictly increasing, step
-    ``tc``, in ``[0, schedule.x_max]``) and ``angles`` in degrees by joint
+    ``tc``, in ``[0, CYCLE_LENGTH]``) and ``angles`` in degrees by joint
     key."""
 
     __slots__ = ("x", "angles", "tc", "schedule", "boundary_report")
@@ -330,9 +325,10 @@ def generate_gait_cycle(
     schedule = config.schedule
     tc = config.tc
     grid = array("d", [i * tc for i in range(config.n_samples)])
-    # floor(x_max / tc) * tc can round above x_max (as at tc = 1.6 / 75); that
-    # point is the cycle end, and takes the last phase as an exact grid does
-    grid[-1] = min(grid[-1], schedule.x_max)
+    # floor(CYCLE_LENGTH / tc) * tc can round above the cycle length (as at
+    # tc = 1.6 / 75); that point is the cycle end, and takes the last phase as
+    # an exact grid does
+    grid[-1] = min(grid[-1], CYCLE_LENGTH)
     runs = _phase_runs(grid, schedule)
 
     # one Horner pass per (joint, phase) over that phase's slice of the grid

@@ -207,8 +207,9 @@ def simulate(init: BlockState, params: BlockParams, t_end: float) -> BlockTrace:
     speed drops below 1e-12. It raises :class:`ZenoError` past
     :data:`MAX_IMPACTS` impacts, and :class:`DivergenceError` at the first
     state that is not finite. A non-finite initial state, a ``t_end`` that is
-    negative or not finite, and a run of more than :data:`MAX_STATES` steps
-    raise ``ValueError`` before the first step.
+    negative or not finite, a run of more than :data:`MAX_STATES` steps, and
+    a start outside its mode's domain (the left mode needs ``x1 <= 0``, the
+    right ``x1 >= 0``) raise ``ValueError`` before the first step.
     """
     if not all(map(isfinite, (init.x1, init.x2, init.t))):
         raise ValueError(f"initial state must be finite, got {init}")
@@ -216,7 +217,9 @@ def simulate(init: BlockState, params: BlockParams, t_end: float) -> BlockTrace:
         raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if (t_end - init.t) / params.dt > MAX_STATES:
         raise ValueError(f"t_end {t_end} at dt {params.dt} takes over {MAX_STATES} steps")
-    domain_ok = init.x1 <= _EVENT_TOL if init.mode == Mode.LEFT else init.x1 >= -_EVENT_TOL
+    # the closed domain the crossing bisection starts in: a start past x1 = 0
+    # would put the crossing at the start itself
+    domain_ok = init.x1 <= 0.0 if init.mode == Mode.LEFT else init.x1 >= 0.0
     if not domain_ok:
         raise ValueError(f"initial state violates the {init.mode.value} domain")
 

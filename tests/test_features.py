@@ -244,6 +244,13 @@ def test_entropy_refuses_more_bins_than_the_limit():
         shannon_entropy(np.arange(10.0), bins=MAX_BINS + 1)
 
 
+@pytest.mark.parametrize("values", [[100.0, 99.99999999999999], [1.0, 1.0000000000000002],
+                                    [0.0, 5e-324]])
+def test_entropy_of_a_range_a_few_ulps_wide(values):
+    # numpy's histogram refuses 16 bins on these ranges
+    assert shannon_entropy(values) == 1.0
+
+
 def test_entropy_bounded_by_log2_bins():
     rng = np.random.default_rng(2)
     values = rng.normal(size=500)
@@ -263,6 +270,7 @@ def test_exact_zeros_do_not_count_as_crossings():
 @given(st.lists(st.floats(-100, 100).map(lambda v: 0.0 if abs(v) < 1e-6 else v),
                 min_size=2, max_size=50),
        st.floats(min_value=0.01, max_value=50.0))
+@example(values=[100.0, 99.99999999999999], c=1.0)
 def test_scale_covariance(values, c):
     x = np.asarray(values)
     assert rms(c * x) == pytest.approx(abs(c) * rms(x), rel=1e-9, abs=1e-12)

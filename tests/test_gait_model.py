@@ -61,7 +61,7 @@ def test_boundaries_belong_to_earlier_phase():
     for phase in GaitPhase:
         b = sched.boundaries[int(phase)]
         assert phase_of(b, sched) == phase
-        if b < sched.x_max:
+        if b < CYCLE_LENGTH:
             assert phase_of(b + 1e-12, sched) == phase.successor
 
 
@@ -119,7 +119,7 @@ def test_schedule_must_end_at_the_cycle_length():
     with pytest.raises(ValueError, match=r"last boundary must be the cycle length 1\.6, got 3\.2"):
         PhaseSchedule((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.2))
     for name, _ in gm.SCHEDULE_PRESETS:
-        assert PhaseSchedule.preset(name).x_max == CYCLE_LENGTH
+        assert PhaseSchedule.preset(name).boundaries[-1] == CYCLE_LENGTH
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_zero_polynomial():
 
 def test_bank_fixture_roundtrip():
     bank = FieldBank.default()
-    assert bank.get("left_hip", "LR").coefficients[0] == -4.061e4
+    assert bank.get("left_hip", GaitPhase.LR).coefficients[0] == -4.061e4
 
 
 def test_horner_matches_naive_for_all_table_fields():
@@ -321,9 +321,8 @@ def test_config_rejects_bad_tc(tc):
 
 def test_config_sample_limit():
     # only configs are built here, so no grid is ever allocated
-    x_max = PhaseSchedule.preset("guard").x_max
-    assert GaitModelConfig(tc=x_max / (MAX_SAMPLES - 2)).n_samples <= MAX_SAMPLES
-    for tc in (x_max / (MAX_SAMPLES + 1), 1e-9, 5e-324):
+    assert GaitModelConfig(tc=CYCLE_LENGTH / (MAX_SAMPLES - 2)).n_samples <= MAX_SAMPLES
+    for tc in (CYCLE_LENGTH / (MAX_SAMPLES + 1), 1e-9, 5e-324):
         with pytest.raises(ValueError, match="samples per cycle"):
             GaitModelConfig(tc=tc)
 
@@ -433,7 +432,7 @@ def reference_phase(x, schedule):
 def reference_cycle(bank, config, cross_fade):
     """Grid, phases and angles from one scalar evaluation per sample."""
     schedule, tc = config.schedule, config.tc
-    grid = np.minimum(np.arange(int(math.floor(schedule.x_max / tc)) + 1) * tc, schedule.x_max)
+    grid = np.minimum(np.arange(int(math.floor(CYCLE_LENGTH / tc)) + 1) * tc, CYCLE_LENGTH)
     phases = [reference_phase(float(x), schedule) for x in grid]
     angles = {
         jkey: np.array([

@@ -196,9 +196,24 @@ def test_block_comes_to_rest():
 
 
 def test_domain_check_on_init():
-    params = BlockParams(alpha=0.3)
-    with pytest.raises(ValueError):
-        simulate(BlockState(Mode.LEFT, 0.5, 0.0), params, 1.0)
+    for init, params in [
+        (BlockState(Mode.LEFT, 0.5, 0.0), BlockParams(alpha=0.3)),
+        # just past vertical, inside the crossing test's tolerance band: the
+        # bisection would find the block already across at the start
+        (BlockState(Mode.LEFT, 5e-11, -1e-6), BlockParams(alpha=0.3, r=0.9)),
+        (BlockState(Mode.RIGHT, -5e-11, 1e-6),
+         BlockParams(alpha=0.3, r=0.9, restoring_sign=True)),
+    ]:
+        with pytest.raises(ValueError,
+                           match=f"^initial state violates the {init.mode.value} domain$"):
+            simulate(init, params, 1.0)
+
+
+def test_a_start_on_vertical_is_admitted():
+    for mode in Mode:
+        for x1 in (0.0, -0.0):
+            init = BlockState(mode, x1, 0.0)
+            assert simulate(init, BlockParams(alpha=0.3), 0.01).states[0] == init
 
 
 def test_trace_csv(tmp_path):
@@ -315,9 +330,6 @@ def test_rk4_is_classical_rk4_over_flow_bit_for_bit(mode, restoring, h):
     # starting in the right mode
     (BlockState(Mode.RIGHT, 0.3, -0.2, t=2.0),
      BlockParams(alpha=0.5, r=0.7, restoring_sign=True), 14.0, "at_rest"),
-    # a crossing the guard rejects: the velocity there is negative, so the
-    # step is a plain flow step and no impact follows
-    (BlockState(Mode.LEFT, 5e-11, -1e-6), BlockParams(alpha=0.3, r=0.9), 1.0, "completed"),
 ])
 def test_simulate_matches_the_per_step_reference_bit_for_bit(init, params, t_end, status):
     states, impacts, want_status = reference_simulate(init, params, t_end)
